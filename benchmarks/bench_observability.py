@@ -95,6 +95,8 @@ def _run(study, pipelines, obs=None, collect_scores=False, heartbeat_every=0):
     )
     stream = merge_fleet_streams(stores)
     report = engine.replay(stream, stores)
+    if obs is not None:
+        obs.record_fleet_report(report)
     return engine, report
 
 

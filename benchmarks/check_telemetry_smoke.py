@@ -89,6 +89,8 @@ def _run(study, pipelines, obs=None, heartbeat_every=0):
     )
     stream = merge_fleet_streams(stores)
     report = engine.replay(stream, stores)
+    if obs is not None:
+        obs.record_fleet_report(report)
     return engine, report
 
 

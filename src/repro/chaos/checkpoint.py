@@ -1,11 +1,11 @@
-"""Checkpoint/resume plumbing for the replay engines.
+"""Checkpoint/resume plumbing for the replay engine.
 
 A checkpoint is ONE atomically-written pickle (tmp file + ``os.replace``)
 with this layout::
 
     {
       "version":   CHECKPOINT_VERSION,
-      "kind":      "replay" | "fleet",       # which engine class wrote it
+      "platforms": tuple[str, ...],          # the merged stream's platforms
       "engine":    "batched" | "per_event",  # which walk the position indexes
       "position":  int,   # merged-walk entries already processed
       "state":     bytes, # inner pickle of the engine's mutable state
@@ -17,9 +17,12 @@ decision state — incremental window states, the feature extractor, the
 alarm ledger (with its unpicklable EventBus detached), pending micro-batch
 queues, rescore throttles, score logs, the fleet policy engine with its
 RNG — so shared references (states -> extractor caches, policy actions ->
-alarm incidents) survive the round trip.  Everything *derivable* from the
+alarm incidents) survive the round trip.  Per-platform state is stored in
+``platforms`` order; a resume must name the same platforms in the same
+order (the order is also the merged walk's cross-platform tie-break), or
+:class:`ReplayCheckpointer` refuses it.  Everything *derivable* from the
 input store (replay kernels, walk orders, vocabularies) is deliberately
-NOT stored: the engines rebuild it deterministically on resume and skip
+NOT stored: the engine rebuilds it deterministically on resume and skips
 the first ``position`` walk entries.
 
 Because processing is deterministic, a replay killed anywhere at or after
@@ -34,7 +37,7 @@ import os
 import pickle
 from pathlib import Path
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(path, payload: dict) -> None:
@@ -81,7 +84,7 @@ class ReplayCheckpointer:
         halt_after: int | None = None,
         resume_from=None,
         engine: str = "",
-        kind: str = "",
+        platforms: tuple[str, ...] = (),
     ):
         self.every = int(every or 0)
         if self.every < 0:
@@ -91,15 +94,19 @@ class ReplayCheckpointer:
             raise ValueError("checkpoint_every needs a checkpoint_path")
         self.halt_after = None if halt_after is None else int(halt_after)
         self.engine = engine
-        self.kind = kind
+        self.platforms = tuple(platforms)
         self.resume_state: dict | None = None
         if resume_from is not None:
             snap = load_checkpoint(resume_from)
-            if snap.get("kind") != kind or snap.get("engine") != engine:
+            if (
+                snap.get("platforms") != self.platforms
+                or snap.get("engine") != engine
+            ):
                 raise ValueError(
                     f"checkpoint {str(resume_from)!r} was written by "
-                    f"kind={snap.get('kind')!r} engine={snap.get('engine')!r}"
-                    f"; this replay is kind={kind!r} engine={engine!r}"
+                    f"platforms={snap.get('platforms')!r} "
+                    f"engine={snap.get('engine')!r}; this replay is "
+                    f"platforms={self.platforms!r} engine={engine!r}"
                 )
             self.resume_state = snap
         self.position = (
@@ -129,7 +136,7 @@ class ReplayCheckpointer:
         if (halt or due) and self.path is not None:
             payload = dict(snapshot_fn())
             payload["version"] = CHECKPOINT_VERSION
-            payload["kind"] = self.kind
+            payload["platforms"] = self.platforms
             payload["engine"] = self.engine
             payload["position"] = self.position
             save_checkpoint(self.path, payload)

@@ -43,8 +43,6 @@ from repro.evaluation.experiment import MODEL_BUILDERS, ModelResult
 from repro.experiments.registry import register_scenario
 from repro.experiments.results import Cell
 from repro.features.pipeline import FeaturePipeline, FeaturePipelineConfig
-from repro.fleetops.cost import CostModel
-from repro.fleetops.engine import _NULL_POLICY
 from repro.ml.virr import virr
 from repro.obs.alerts import DEFAULT_REPLAY_RULES, AlertEngine
 from repro.streaming.bus import EventBus
@@ -161,9 +159,7 @@ def chaos_replay(ctx):
                     heartbeat_every=heartbeat_every,
                 )
                 report = engine.replay(store, model_name=model_name)
-                cost, _ = CostModel().settle(
-                    platform, engine.alarms, _NULL_POLICY, split_hour
-                )
+                cost = engine.core.cost_summaries[platform]
                 health = dict(report.health)
                 health["outage_seconds"] = injection.outage_seconds
                 curve.append(

@@ -176,6 +176,7 @@ def _replay_partition(payload: dict) -> PartitionOutcome:
     outcome.bus_counts = bus.counts()
     outcome.health = dict(report.health)
     if wobs is not None:
+        wobs.record_fleet_report(report)
         # Plain dicts/lists only — pickles cleanly across the pool seam.
         outcome.obs_payload = wobs.payload()
     for platform, runtime in engine.runtimes.items():

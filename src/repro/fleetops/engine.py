@@ -1,25 +1,25 @@
-"""Fleet replay engine: one pass over a heterogeneous multi-platform fleet.
+"""Replay core: one pass over a merged multi-platform telemetry stream.
 
-The :class:`FleetReplayEngine` is the multi-platform sibling of
-:class:`~repro.streaming.replay.ReplayEngine`: it consumes ONE
-:class:`~repro.fleetops.stream.MergedFleetStream` covering every platform
-and keeps one *serving runtime* per platform — incremental feature state,
-alarm manager, micro-batch queue, and a routed production model that may
-have been trained on a *different* CPU architecture (the transfer-matrix
-serving story).  On top of PR 4's replay semantics it adds the
-incident-aware mitigation loop: every opened incident is handed to the
-:class:`~repro.fleetops.policy.PolicyEngine`, and at the end the
+:class:`FleetReplayEngine` is the one streaming scorer in the repo.  It
+consumes ONE :class:`~repro.fleetops.stream.MergedFleetStream` covering
+every platform and keeps one *serving runtime* per platform — incremental
+feature state, alarm manager, micro-batch queue, and a routed production
+model that may have been trained on a *different* CPU architecture (the
+transfer-matrix serving story).  Every opened incident can be handed to
+a :class:`~repro.fleetops.policy.PolicyEngine`, and at the end the
 :class:`~repro.fleetops.cost.CostModel` settles dispositions x actions
-into per-platform and fleet-wide interruption-cost summaries.
+into per-platform and fleet-wide interruption-cost summaries.  A
+single-platform replay is a fleet of one:
+:class:`~repro.streaming.replay.ReplayEngine` is a thin adapter over
+this engine.
 
-Per-platform scoring is bit-for-bit identical to running that platform
-alone through ``ReplayEngine`` (same scoring schedule, same incremental
-feature values, same stateless model): the merged stream preserves each
-platform's replay order, queues are per-platform, and a UE flushes only
-its own platform's queue.  The parity suite pins this down.
+Per-platform scoring does not depend on the rest of the fleet: the
+merged stream preserves each platform's own replay order, queues are
+per-platform, and a UE flushes only its own platform's queue.  The
+merged-vs-single suite pins a three-platform interleave to one-platform
+runs bit for bit.
 
-Like the single-platform engine, two interchangeable engines drive the
-same decision loop:
+Two walks drive the same decision loop:
 
 * ``engine="batched"`` (default) — one
   :class:`~repro.streaming.kernels.ReplayKernel` per platform precomputes
@@ -28,10 +28,15 @@ same decision loop:
   same keys as the full merge), and works off a *manifest-only* stream
   (``merge_fleet_streams(..., decode_payloads=False)``);
 * ``engine="per_event"`` — the pure-Python reference: the pre-decoded
-  merged stream drives per-DIMM incremental state, with per-platform
-  state hoisted into parallel lists indexed by the stream's platform
-  code.  ``benchmarks/bench_fleet_ops.py`` measures the speedup and
-  gates batched-vs-per-event score parity.
+  merged stream drives per-DIMM
+  :class:`~repro.streaming.incremental.IncrementalWindowState` delta
+  updates, with per-platform state hoisted into parallel lists indexed
+  by the stream's platform code.
+
+Both produce identical scores, alarms, bus traffic and cost digests.
+``verify_parity=True`` cross-checks every served vector against its
+reference — ``FeaturePipeline.transform_one`` on the per-event walk,
+``ReplayKernel.reference_for_query`` on the batched one.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -60,6 +67,20 @@ from repro.streaming.bus import EventBus
 from repro.streaming.incremental import IncrementalFeatureExtractor
 from repro.streaming.kernels import ReplayKernel
 from repro.streaming.replay import REPLAY_ENGINES
+
+#: Per-runtime state a checkpoint persists, by walk.  Kernels and walk
+#: orders are deterministic functions of the stores and are rebuilt on
+#: resume instead.
+_DECISION_STATE = (
+    "alarms", "last_scored", "scored_dimms", "pending", "scored", "batches",
+    "retired_fallbacks", "parity_checked", "parity_mismatches",
+)
+_CHECKPOINT_STATE = {
+    "per_event": _DECISION_STATE + (
+        "extractor", "states", "state_configs", "retired_rebuilds",
+    ),
+    "batched": _DECISION_STATE + ("blocked_until", "dimm_cache"),
+}
 
 
 class _ColumnsStore:
@@ -93,6 +114,10 @@ class ServingAssignment:
     pipeline: object  # fitted FeaturePipeline (the platform's feature space)
     configs: dict
     live_from_hour: float = 0.0
+    #: Scores raise alarms only from this hour on (None: ``live_from_hour``).
+    #: The lifecycle scores the whole campaign to warm its rescore throttle
+    #: but alarms only once the model is deployed.
+    alarm_from_hour: float | None = None
 
 
 class _PlatformRuntime:
@@ -101,13 +126,14 @@ class _PlatformRuntime:
     __slots__ = (
         "assignment", "extractor", "alarms", "states", "state_configs",
         "last_scored", "scored_dimms", "pending", "pending_dimms",
-        "retired_fallbacks",
-        "retired_rebuilds", "dimm_name", "server_name", "configs",
-        "threshold", "live_from", "scored", "batches", "predict_seconds",
-        "matrix_buf",
+        "retired_fallbacks", "retired_rebuilds", "blocked_until",
+        "dimm_cache", "dimm_name", "server_name", "configs", "threshold",
+        "live_from", "alarm_from", "scored", "batches", "predict_seconds",
+        "parity_checked", "parity_mismatches", "kernel", "matrix_buf",
     )
 
-    def __init__(self, assignment: ServingAssignment, alarms: AlarmManager):
+    def __init__(self, assignment: ServingAssignment, alarms: AlarmManager,
+                 columns):
         self.assignment = assignment
         self.extractor = IncrementalFeatureExtractor(assignment.pipeline)
         self.alarms = alarms
@@ -119,12 +145,28 @@ class _PlatformRuntime:
         self.pending_dimms: set = set()
         self.retired_fallbacks = 0
         self.retired_rebuilds = 0
+        # While a DIMM's incident blocks it, every candidate at
+        # ``t <= open_until`` would see ``blocked() -> True`` with no side
+        # effects, so the batched walk elides those calls; the first
+        # candidate past the bound still calls ``blocked`` and triggers the
+        # lazy expiry publish at the same point the per-event walk does.
+        self.blocked_until: dict = {}
+        self.dimm_cache: dict = {}
+        self.dimm_name = columns.dimms.name
+        self.server_name = columns.servers.name
         self.configs = assignment.configs
         self.threshold = float(assignment.threshold)
         self.live_from = float(assignment.live_from_hour)
+        self.alarm_from = (
+            self.live_from if assignment.alarm_from_hour is None
+            else float(assignment.alarm_from_hour)
+        )
         self.scored = 0
         self.batches = 0
         self.predict_seconds = 0.0
+        self.parity_checked = 0
+        self.parity_mismatches = 0
+        self.kernel: ReplayKernel | None = None
         self.matrix_buf: np.ndarray | None = None
 
     def fallbacks(self) -> int:
@@ -138,6 +180,11 @@ class _PlatformRuntime:
             state.rebuilds for state in self.states.values()
         )
 
+    def check_parity(self, served: np.ndarray, reference: np.ndarray) -> None:
+        self.parity_checked += 1
+        if not np.array_equal(served, reference):
+            self.parity_mismatches += 1
+
 
 @dataclass
 class FleetReport:
@@ -149,7 +196,9 @@ class FleetReport:
     events_per_second: float = 0.0
     scored: int = 0
     engine: str = "per_event"
-    #: Wall seconds by stage (same keys as ``StreamingReport``).
+    #: Wall seconds by stage: ``ingest`` (stream walk + state updates),
+    #: ``features`` (feature serving / kernel materialisation),
+    #: ``predict`` (``predict_proba``), ``alarms`` (alarm decisions).
     stage_seconds: dict = field(default_factory=dict)
     platforms: dict = field(default_factory=dict)  # platform -> report dict
     actions: dict = field(default_factory=dict)  # PolicyEngine.summary()
@@ -208,6 +257,8 @@ class FleetReplayEngine:
         batch_size: int = 256,
         engine: str = "batched",
         collect_scores: bool = False,
+        verify_parity: bool = False,
+        score_hook=None,
         end_hours: dict[str, float] | None = None,
         coherent_flush: bool = False,
         obs=None,
@@ -230,6 +281,13 @@ class FleetReplayEngine:
         self.rescore_interval_hours = float(rescore_interval_hours)
         self.batch_size = int(batch_size)
         self.collect_scores = bool(collect_scores)
+        #: Count served vectors that differ from their reference
+        #: (reported as each platform report's ``parity`` entry).
+        self.verify_parity = bool(verify_parity)
+        #: Per-score callback ``(dimm_id, t, features, score)`` run in flush
+        #: order (drift monitors); ``features`` is a view into a reused
+        #: buffer, valid only during the call.
+        self.score_hook = score_hook
         #: Partition-invariant micro-batching: settle a platform's queued
         #: scores before admitting a new candidate for a DIMM that already
         #: has one pending.  Admission consults ``alarms.blocked`` at walk
@@ -253,8 +311,9 @@ class FleetReplayEngine:
         self.cost_summaries: dict[str, CostSummary] = {}
         self.ledgers: dict = {}
         #: Optional :class:`repro.obs.Observability` bundle.  Spans exist
-        #: at stage granularity only and instruments are filled from the
-        #: finished report, so instrumented replays stay bit-identical.
+        #: at stage granularity only and the caller projects the finished
+        #: report onto the registry, so instrumented replays stay
+        #: bit-identical.
         self.obs = obs
         self._tracer = obs.tracer if obs is not None else NULL_TRACER
         #: Publish a live heartbeat snapshot every N processed walk
@@ -276,17 +335,14 @@ class FleetReplayEngine:
         })
 
     def _runtime(self, platform: str, stores) -> _PlatformRuntime:
-        assignment = self.assignments[platform]
         alarms = AlarmManager(
             self.labeling.lead_hours,
             self.labeling.prediction_window_hours,
             self.bus,
         )
-        runtime = _PlatformRuntime(assignment, alarms)
-        columns = stores[platform].columns
-        runtime.dimm_name = columns.dimms.name
-        runtime.server_name = columns.servers.name
-        return runtime
+        return _PlatformRuntime(
+            self.assignments[platform], alarms, stores[platform].columns
+        )
 
     def replay(
         self,
@@ -300,10 +356,16 @@ class FleetReplayEngine:
     ) -> FleetReport:
         """Replay the merged stream; ``stores`` maps platform -> LogStore.
 
-        Malformed records are quarantined per platform before the walk (the
-        re-merged stream stays bit-identical when nothing is rejected).
-        The checkpoint knobs mirror :meth:`ReplayEngine.replay`: a halted or
-        killed fleet replay resumed from its snapshot reproduces the
+        Malformed records are quarantined per platform to the bus
+        dead-letter topic before the walk; a clean fleet keeps the
+        caller's stream untouched, so clean runs stay bit-identical.
+
+        ``checkpoint_every`` + ``checkpoint_path`` write a snapshot every N
+        processed walk entries; ``resume_from`` restores one and skips the
+        already-processed prefix; ``halt_after`` stops this call after N
+        entries (writing a final snapshot when a path is set) and returns a
+        partial report with ``halted=True`` — the deterministic stand-in
+        for a killed process.  A resumed replay reproduces the
         uninterrupted run's score logs, alarms, actions and cost digests.
         """
         missing = set(stream.platforms) - set(self.assignments)
@@ -339,7 +401,14 @@ class FleetReplayEngine:
                     stream = merge_fleet_streams(
                         stores, decode_payloads=(self.engine != "batched")
                     )
-            ckpt = None
+            runtimes = [
+                self._runtime(platform, stores)
+                for platform in stream.platforms
+            ]
+            self.runtimes = dict(zip(stream.platforms, runtimes))
+            if self.collect_scores:
+                self.score_logs = {p: [] for p in stream.platforms}
+            step, skip = None, 0
             if (
                 checkpoint_every
                 or checkpoint_path is not None
@@ -352,15 +421,12 @@ class FleetReplayEngine:
                     halt_after=halt_after,
                     resume_from=resume_from,
                     engine=self.engine,
-                    kind="fleet",
+                    platforms=stream.platforms,
                 )
-            runtimes = [
-                self._runtime(platform, stores)
-                for platform in stream.platforms
-            ]
-            self.runtimes = dict(zip(stream.platforms, runtimes))
-            if self.collect_scores:
-                self.score_logs = {p: [] for p in stream.platforms}
+                if ckpt.resume_state is not None:
+                    self._restore(ckpt.resume_state, runtimes)
+                step = partial(ckpt.step, partial(self._snapshot, runtimes))
+                skip = ckpt.position
 
             report = FleetReport(
                 engine=self.engine,
@@ -369,12 +435,23 @@ class FleetReplayEngine:
                     "alarms": 0.0,
                 },
             )
+            start = time.perf_counter()
             if self.engine == "batched":
-                halted = self._replay_batched(
-                    stream, stores, runtimes, report, ckpt
-                )
+                with tracer.span("fleet_replay.kernel_build"):
+                    for rt in runtimes:
+                        rt.kernel = ReplayKernel(
+                            rt.assignment.pipeline,
+                            stores[rt.assignment.platform].columns,
+                            rt.configs,
+                            min_ces_before_scoring=self.min_ces_before_scoring,
+                            live_from_hour=rt.live_from,
+                        )
+                halted = self._replay_batched(runtimes, report, step, skip)
             else:
-                halted = self._replay_per_event(stream, runtimes, report, ckpt)
+                halted = self._replay_per_event(
+                    stream, runtimes, report, step, skip
+                )
+            report.seconds = time.perf_counter() - start
             if halted:
                 report.halted = True
                 report.events = stream.events
@@ -397,49 +474,63 @@ class FleetReplayEngine:
             root.attributes.update(
                 events=report.events, scored=report.scored, halted=False
             )
-        if self.obs is not None:
-            self.obs.record_fleet_report(report)
         return report
+
+    def _snapshot(self, runtimes: list[_PlatformRuntime]) -> dict:
+        """The walk's decision state as ONE inner pickle, so shared
+        references (window states -> extractor caches, policy actions ->
+        incidents) survive; the bus (unpicklable handler closures) is
+        detached for the dump."""
+        names = _CHECKPOINT_STATE[self.engine]
+        for rt in runtimes:
+            rt.alarms.bus = None
+        try:
+            blob = pickle.dumps(
+                {
+                    "runtimes": [
+                        {name: getattr(rt, name) for name in names}
+                        for rt in runtimes
+                    ],
+                    "policy": self.policy,
+                    "score_logs": self.score_logs,
+                },
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+        finally:
+            for rt in runtimes:
+                rt.alarms.bus = self.bus
+        return {"state": blob, "bus_counts": self.bus.counts()}
+
+    def _restore(
+        self, resume_state: dict, runtimes: list[_PlatformRuntime]
+    ) -> None:
+        """Load a snapshot; the checkpoint header already matched the
+        platform tuple, so saved runtimes line up with ``runtimes``."""
+        snap = pickle.loads(resume_state["state"])
+        for rt, saved in zip(runtimes, snap["runtimes"]):
+            for name, value in saved.items():
+                setattr(rt, name, value)
+            rt.alarms.bus = self.bus
+            rt.pending_dimms = {entry[0] for entry in rt.pending}
+        self.policy = snap["policy"]
+        self.score_logs = snap["score_logs"]
+        self.bus.restore_counts(resume_state["bus_counts"])
 
     def _replay_per_event(
         self,
         stream: MergedFleetStream,
         runtimes: list[_PlatformRuntime],
         report: FleetReport,
-        ckpt: ReplayCheckpointer | None = None,
+        step,
+        skip: int,
     ) -> bool:
         min_ces = self.min_ces_before_scoring
         rescore = self.rescore_interval_hours
         batch_size = self.batch_size
         coherent = self.coherent_flush
+        verify = self.verify_parity
         feature_seconds = 0.0
         alarm_seconds = 0.0
-
-        walk_tags, walk_plats, walk_rows = (
-            stream.tags, stream.plats, stream.rows
-        )
-        if ckpt is not None and ckpt.resume_state is not None:
-            snap = pickle.loads(ckpt.resume_state["state"])
-            for i, rt in enumerate(runtimes):
-                rt.extractor = snap["extractors"][i]
-                rt.alarms = snap["alarms"][i]
-                rt.alarms.bus = self.bus
-                rt.states = snap["states"][i]
-                rt.state_configs = snap["state_configs"][i]
-                rt.last_scored = snap["last_scored"][i]
-                rt.scored_dimms = snap["scored_dimms"][i]
-                rt.pending = snap["pending"][i]
-                rt.pending_dimms = {entry[0] for entry in rt.pending}
-                rt.retired_fallbacks = snap["retired_fallbacks"][i]
-                rt.retired_rebuilds = snap["retired_rebuilds"][i]
-                rt.scored = snap["scored"][i]
-                rt.batches = snap["batches"][i]
-            self.policy = snap["policy"]
-            self.score_logs = snap["score_logs"]
-            self.bus.restore_counts(ckpt.resume_state["bus_counts"])
-            walk_tags = walk_tags[ckpt.position:]
-            walk_plats = walk_plats[ckpt.position:]
-            walk_rows = walk_rows[ckpt.position:]
 
         # The hot loop switches platforms on every event, so per-platform
         # state is hoisted into parallel lists indexed by the stream's
@@ -460,48 +551,13 @@ class FleetReplayEngine:
         server_name_by = [rt.server_name for rt in runtimes]
         flush = self._flush
 
-        def snapshot() -> dict:
-            # Kernel-free path: every mutable decision structure goes into
-            # ONE inner pickle so shared references survive; the bus
-            # (unpicklable handler closures) is detached for the dump.
-            for rt in runtimes:
-                rt.alarms.bus = None
-            try:
-                blob = pickle.dumps(
-                    {
-                        "extractors": [rt.extractor for rt in runtimes],
-                        "alarms": [rt.alarms for rt in runtimes],
-                        "states": states_by,
-                        "state_configs": state_configs_by,
-                        "last_scored": last_scored_by,
-                        "scored_dimms": scored_dimms_by,
-                        "pending": pending_by,
-                        "retired_fallbacks": [
-                            rt.retired_fallbacks for rt in runtimes
-                        ],
-                        "retired_rebuilds": [
-                            rt.retired_rebuilds for rt in runtimes
-                        ],
-                        "scored": [rt.scored for rt in runtimes],
-                        "batches": [rt.batches for rt in runtimes],
-                        "policy": self.policy,
-                        "score_logs": self.score_logs,
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            finally:
-                for rt in runtimes:
-                    rt.alarms.bus = self.bus
-            return {"state": blob, "bus_counts": self.bus.counts()}
-
         hb = self.heartbeat_every if self.obs is not None else 0
         hb_total = stream.events
         hb_processed = 0
 
-        start = time.perf_counter()
-        for tag, p, row in zip(walk_tags, walk_plats, walk_rows):
-            if ckpt is not None and ckpt.step(snapshot):
-                report.seconds = time.perf_counter() - start
+        walk = islice(zip(stream.tags, stream.plats, stream.rows), skip, None)
+        for tag, p, row in walk:
+            if step is not None and step():
                 return True
             if hb:
                 hb_processed += 1
@@ -539,6 +595,14 @@ class FleetReplayEngine:
                 t0 = time.perf_counter()
                 features = serve_by[p](state, config, t)
                 feature_seconds += time.perf_counter() - t0
+                if verify:
+                    rt = runtimes[p]
+                    rt.check_parity(
+                        features,
+                        rt.assignment.pipeline.transform_one(
+                            state.history_view(), config, t
+                        ),
+                    )
                 last_scored_by[p][code] = t
                 scored_dimms_by[p].add(code)
                 pending = pending_by[p]
@@ -585,44 +649,31 @@ class FleetReplayEngine:
         for rt in runtimes:
             if rt.pending:
                 flush(rt, report)
-        report.seconds = time.perf_counter() - start
         report.stage_seconds["features"] += feature_seconds
         report.stage_seconds["alarms"] += alarm_seconds
         return False
 
     def _replay_batched(
         self,
-        stream: MergedFleetStream,
-        stores: dict[str, object],
         runtimes: list[_PlatformRuntime],
         report: FleetReport,
-        ckpt: ReplayCheckpointer | None = None,
+        step,
+        skip: int,
     ) -> bool:
         """Columnar fast path: per-platform kernels + a merged decision loop.
 
-        One :class:`ReplayKernel` per platform precomputes every scoring
+        Each runtime's :class:`ReplayKernel` has precomputed every scoring
         candidate; the walk then covers only candidates and UEs, merged
         with the same (time, kind, platform) keys as the full stream so
-        every sequential decision lands in the per-event order.
+        every sequential decision — rescore throttling, incident blocking,
+        flush boundaries, alarm-vs-failure ordering — lands in the
+        per-event order.
         """
         rescore = self.rescore_interval_hours
         batch_size = self.batch_size
         coherent = self.coherent_flush
         policy = self.policy
         alarm_seconds = 0.0
-
-        start = time.perf_counter()
-        with self._tracer.span("fleet_replay.kernel_build"):
-            kernels = [
-                ReplayKernel(
-                    rt.assignment.pipeline,
-                    stores[platform].columns,
-                    rt.assignment.configs,
-                    min_ces_before_scoring=self.min_ces_before_scoring,
-                    live_from_hour=rt.live_from,
-                )
-                for platform, rt in zip(stream.platforms, runtimes)
-            ]
 
         # Global candidate/UE selection in merged-stream order.  Stability
         # of the lexsort keeps each platform's CE-table order on ties, so
@@ -631,7 +682,8 @@ class FleetReplayEngine:
             "t": [], "tag": [], "plat": [], "idx": [], "code": [], "rank": [],
         }
         cand_dimms_by, row_of_by, fallback_by, ue_pred_by = [], [], [], []
-        for i, kernel in enumerate(kernels):
+        for i, rt in enumerate(runtimes):
+            kernel = rt.kernel
             cand = np.flatnonzero(kernel.eligible)
             parts["t"] += [kernel.ce_times[cand], kernel.ue_times]
             parts["tag"] += [
@@ -659,63 +711,16 @@ class FleetReplayEngine:
             fallback_by.append(kernel.fallback.tolist())
             ue_pred_by.append(kernel.ue_predictable.tolist())
         sel = {k: np.concatenate(v) for k, v in parts.items()}
-        order = np.lexsort((sel["plat"], sel["tag"], sel["t"]))
+        order = np.lexsort((sel["plat"], sel["tag"], sel["t"]))[skip:]
 
-        blocked_until_by: list[dict] = [{} for _ in runtimes]
-        dimm_cache_by: list[dict] = [{} for _ in runtimes]
-        served_fallbacks = [0] * len(runtimes)
-        if ckpt is not None and ckpt.resume_state is not None:
-            snap = pickle.loads(ckpt.resume_state["state"])
-            for i, rt in enumerate(runtimes):
-                rt.alarms = snap["alarms"][i]
-                rt.alarms.bus = self.bus
-                rt.last_scored = snap["last_scored"][i]
-                rt.scored_dimms = snap["scored_dimms"][i]
-                rt.pending = snap["pending"][i]
-                rt.pending_dimms = {entry[0] for entry in rt.pending}
-                rt.scored = snap["scored"][i]
-                rt.batches = snap["batches"][i]
-            self.policy = policy = snap["policy"]
-            self.score_logs = snap["score_logs"]
-            blocked_until_by = snap["blocked_until"]
-            dimm_cache_by = snap["dimm_cache"]
-            served_fallbacks = snap["served_fallbacks"]
-            self.bus.restore_counts(ckpt.resume_state["bus_counts"])
-            order = order[ckpt.position:]
         alarms_by = [rt.alarms for rt in runtimes]
-        fast_alarms = [type(a) is AlarmManager for a in alarms_by]
         last_scored_by = [rt.last_scored for rt in runtimes]
         scored_dimms_by = [rt.scored_dimms for rt in runtimes]
         pending_by = [rt.pending for rt in runtimes]
         pending_dimms_by = [rt.pending_dimms for rt in runtimes]
-        dimm_name_by = [rt.dimm_name for rt in runtimes]
-
-        def snapshot() -> dict:
-            # The kernels and merged order are deterministic functions of
-            # the stores — only the sequential decision state is persisted.
-            for a in alarms_by:
-                a.bus = None
-            try:
-                blob = pickle.dumps(
-                    {
-                        "alarms": alarms_by,
-                        "last_scored": last_scored_by,
-                        "scored_dimms": scored_dimms_by,
-                        "pending": pending_by,
-                        "blocked_until": blocked_until_by,
-                        "dimm_cache": dimm_cache_by,
-                        "served_fallbacks": served_fallbacks,
-                        "scored": [rt.scored for rt in runtimes],
-                        "batches": [rt.batches for rt in runtimes],
-                        "policy": self.policy,
-                        "score_logs": self.score_logs,
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            finally:
-                for a in alarms_by:
-                    a.bus = self.bus
-            return {"state": blob, "bus_counts": self.bus.counts()}
+        blocked_until_by = [rt.blocked_until for rt in runtimes]
+        dimm_cache_by = [rt.dimm_cache for rt in runtimes]
+        flush = self._flush
 
         iters = zip(
             sel["tag"][order].tolist(),
@@ -729,8 +734,7 @@ class FleetReplayEngine:
         hb_total = int(sel["t"].size)
         hb_processed = 0
         for tag, p, index, t, code, rank in iters:
-            if ckpt is not None and ckpt.step(snapshot):
-                report.seconds = time.perf_counter() - start
+            if step is not None and step():
                 return True
             if hb:
                 hb_processed += 1
@@ -751,14 +755,13 @@ class FleetReplayEngine:
                 if coherent and dimm_id in pending_dimms_by[p]:
                     # Settle the queue so this DIMM's earlier score can
                     # open its incident before we gate the new candidate.
-                    self._flush_batched(runtimes[p], kernels[p], report)
+                    flush(runtimes[p], report)
                 alarms = alarms_by[p]
                 if alarms.blocked(dimm_id, t):
-                    if fast_alarms[p]:
-                        blocked_until[code] = alarms.open_until(dimm_id)
+                    blocked_until[code] = alarms.open_until(dimm_id)
                     continue
                 if fallback_by[p][index]:
-                    served_fallbacks[p] += 1
+                    runtimes[p].retired_fallbacks += 1
                 if rescore > 0:
                     last_scored_by[p][code] = t
                 scored_dimms_by[p].add(code)
@@ -766,18 +769,18 @@ class FleetReplayEngine:
                 pending_dimms_by[p].add(dimm_id)
                 pending.append((dimm_id, t, row_of_by[p][index]))
                 if len(pending) >= batch_size:
-                    self._flush_batched(runtimes[p], kernels[p], report)
+                    flush(runtimes[p], report)
             else:
                 rt = runtimes[p]
                 if rt.pending:
                     # Settle this platform's queued scores so alarm-vs-
                     # failure ordering holds; other platforms' queues are
                     # untouched (their DIMMs are unaffected by this UE).
-                    self._flush_batched(rt, kernels[p], report)
+                    flush(rt, report)
                 cache = dimm_cache_by[p]
                 dimm_id = cache.get(code)
                 if dimm_id is None:
-                    dimm_id = cache[code] = dimm_name_by[p](code)
+                    dimm_id = cache[code] = rt.dimm_name(code)
                 t0 = time.perf_counter()
                 rt.alarms.on_ue(dimm_id, t, predictable=ue_pred_by[p][index])
                 alarm_seconds += time.perf_counter() - t0
@@ -785,69 +788,63 @@ class FleetReplayEngine:
                 rt.last_scored.pop(code, None)
                 if policy is not None:
                     policy.advance(t)
-        for rt, kernel in zip(runtimes, kernels):
+        for rt in runtimes:
             if rt.pending:
-                self._flush_batched(rt, kernel, report)
-        report.seconds = time.perf_counter() - start
+                flush(rt, report)
         report.stage_seconds["alarms"] += alarm_seconds
-        for rt, count in zip(runtimes, served_fallbacks):
-            rt.retired_fallbacks = count
         return False
 
-    def _buffer(
-        self, rt: _PlatformRuntime, n: int, width: int
-    ) -> np.ndarray:
-        """The runtime's reused micro-batch score matrix."""
+    def _flush(self, rt: _PlatformRuntime, report: FleetReport) -> None:
+        """Score one platform's micro-batch; route alarms through policy.
+
+        The per-event walk queues served vectors; the batched walk queues
+        kernel query rows and materialises them here.
+        """
+        pending = rt.pending
+        n = len(pending)
+        kernel = rt.kernel
+        width = (
+            pending[0][2].shape[0] if kernel is None else kernel.n_features
+        )
         buf = rt.matrix_buf
         if buf is None or buf.shape[0] < n or buf.shape[1] != width:
             buf = rt.matrix_buf = np.empty((max(n, self.batch_size), width))
-        return buf
+        if kernel is None:
+            matrix = buf[:n]
+            for i, (_, _, features) in enumerate(pending):
+                matrix[i] = features
+        else:
+            rows = np.fromiter(
+                (row for _, _, row in pending), dtype=np.int64, count=n
+            )
+            t0 = time.perf_counter()
+            matrix = kernel.features_for(rows, out=buf[:n])
+            report.stage_seconds["features"] += time.perf_counter() - t0
+            if self.verify_parity:
+                for served, row in zip(matrix, rows.tolist()):
+                    rt.check_parity(served, kernel.reference_for_query(row))
 
-    def _flush(self, rt: _PlatformRuntime, report: FleetReport) -> None:
-        """Score one platform's micro-batch; route alarms through policy."""
-        pending = rt.pending
-        n = len(pending)
-        matrix = self._buffer(rt, n, pending[0][2].shape[0])[:n]
-        for i, (_, _, features) in enumerate(pending):
-            matrix[i] = features
-        self._score_batch(rt, matrix, report)
-
-    def _flush_batched(
-        self, rt: _PlatformRuntime, kernel: ReplayKernel, report: FleetReport
-    ) -> None:
-        """Materialise one batched micro-batch's features, score, alarm."""
-        pending = rt.pending
-        n = len(pending)
-        buf = self._buffer(rt, n, kernel.n_features)
-        rows = np.fromiter(
-            (row for _, _, row in pending), dtype=np.int64, count=n
-        )
-        t0 = time.perf_counter()
-        matrix = kernel.features_for(rows, out=buf[:n])
-        report.stage_seconds["features"] += time.perf_counter() - t0
-        self._score_batch(rt, matrix, report)
-
-    def _score_batch(
-        self, rt: _PlatformRuntime, matrix: np.ndarray, report: FleetReport
-    ) -> None:
-        pending = rt.pending
         t0 = time.perf_counter()
         scores = rt.assignment.model.predict_proba(matrix)
         t1 = time.perf_counter()
         rt.predict_seconds += t1 - t0
         threshold = rt.threshold
+        alarm_from = rt.alarm_from
         platform = rt.assignment.platform
         policy = self.policy
+        hook = self.score_hook
         log = self.score_logs.get(platform) if self.collect_scores else None
-        for (dimm_id, t, _), score in zip(pending, scores):
+        for i, ((dimm_id, t, _), score) in enumerate(zip(pending, scores)):
             value = float(score)
             if log is not None:
                 log.append((dimm_id, t, value))
-            if value >= threshold:
+            if hook is not None:
+                hook(dimm_id, t, matrix[i], value)
+            if value >= threshold and t >= alarm_from:
                 incident = rt.alarms.on_alarm(dimm_id, t, value)
                 if incident is not None and policy is not None:
                     policy.on_incident(platform, incident)
-        rt.scored += len(pending)
+        rt.scored += n
         rt.batches += 1
         report.stage_seconds["alarms"] += time.perf_counter() - t1
         pending.clear()
@@ -907,6 +904,11 @@ class FleetReplayEngine:
                 "alarms": alarm_summary,
                 "health": platform_health,
             }
+            if self.verify_parity:
+                platform_report["parity"] = {
+                    "checked": rt.parity_checked,
+                    "mismatches": rt.parity_mismatches,
+                }
             report.platforms[platform] = platform_report
             report.scored += rt.scored
             report.predict_seconds += rt.predict_seconds

@@ -255,6 +255,8 @@ def fleet_ops(ctx):
         heartbeat_every=heartbeat_every,
     )
     report = engine.replay(stream, stores)
+    if ctx.obs is not None:
+        ctx.obs.record_fleet_report(report)
     return _fleet_cells_extras(
         report, engine.cost_summaries, assignments, assignments_spec,
         cells, unsupported,

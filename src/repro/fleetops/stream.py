@@ -21,11 +21,11 @@ Payload shapes: CE ``(t, dimm_code, server_code, rows_data_tuple)``,
 UE ``(t, dimm_code)``, memory event ``(t, dimm_code, kind_code)`` — all
 codes pre-converted to Python ints.
 
-Because the sort is stable and its first two keys match the
-single-platform merge in :class:`~repro.streaming.replay.ReplayEngine`,
-each platform's subsequence of the merged stream is *exactly* that
-platform's own replay order — the property the merged-vs-single-platform
-score-parity suite pins down.
+Because the sort is stable and its first two keys are the same for every
+platform, each platform's subsequence of the merged stream is *exactly*
+the stream a one-platform merge of that platform produces (the one
+:class:`~repro.streaming.replay.ReplayEngine` replays) — the property
+the merged-vs-single-platform score-parity suite pins down.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.telemetry.columnar import (
     UE_T,
 )
 
-#: Kind tags, matching ReplayEngine's merge (CE < UE < event on time ties).
+#: Kind tags, in ``iter_stream``'s order (CE < UE < event on time ties).
 CE_TAG, UE_TAG, EVENT_TAG = 0, 1, 2
 
 

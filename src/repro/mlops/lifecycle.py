@@ -29,7 +29,7 @@ tests run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +51,6 @@ from repro.mlops.serving import (
     Alarm,
 )
 from repro.simulator.fleet import SimulationResult
-from repro.streaming.alarms import AlarmManager
 from repro.streaming.bus import EventBus
 from repro.streaming.replay import ReplayEngine
 
@@ -129,7 +128,11 @@ def replay_held_out(
         threshold,
         platform,
         configs=simulation.store.configs,
-        labeling=protocol.labeling,
+        # An infinite prediction window blocks an alarmed DIMM until its
+        # UE, like the serving layer's AlarmSystem.
+        labeling=replace(
+            protocol.labeling, prediction_window_hours=float("inf")
+        ),
         bus=bus,
         live_from_hour=0.0,
         alarm_from_hour=split_hour,
@@ -139,9 +142,6 @@ def replay_held_out(
         # synchronous observe() loop this replaced (queued scores behind a
         # fresh incident would otherwise surface as suppressed alarms).
         batch_size=1,
-        alarms=AlarmManager(
-            protocol.labeling.lead_hours, float("inf"), bus
-        ),
         score_hook=_observe_drift if drift is not None else None,
     )
     report = engine.replay(simulation.store)

@@ -51,9 +51,9 @@ coordinator's own merged-report samples carry ``worker="merged"`` and
 local heartbeats ``worker=""``), so one scrape shows the whole run.
 
 Span naming convention: dotted lowercase paths rooted at the verb —
-``replay`` / ``fleet_replay`` / ``coordinator`` / ``serve`` /
-``build_samples`` / ``cache`` — with stage children like
-``replay.stage.predict``.  Spans exist at *stage* granularity only
+``fleet_replay`` (single-platform replays included) / ``coordinator`` /
+``serve`` / ``build_samples`` / ``cache`` — with stage children like
+``fleet_replay.stage.predict``.  Spans exist at *stage* granularity only
 (never per flush or per event), so the tree shape is a deterministic
 function of the input.
 """

@@ -1,7 +1,7 @@
 """Hierarchical tracing with a deterministic span tree.
 
 A :class:`Tracer` produces one tree of :class:`Span` nodes per run:
-``with tracer.span("replay.quarantine"):`` opens a child of the current
+``with tracer.span("fleet_replay.quarantine"):`` opens a child of the current
 span, measures wall (``perf_counter``) and CPU (``process_time``) time,
 and pops back on exit.  Stages whose time is *accumulated* across
 interleaved micro-batch flushes (features / predict / alarms) are

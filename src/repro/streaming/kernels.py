@@ -1,7 +1,7 @@
 """Batched numpy replay kernels: the columnar fast path under replay.
 
-The per-event replay engines (:class:`~repro.streaming.replay.ReplayEngine`
-and :class:`~repro.fleetops.engine.FleetReplayEngine`) pay a Python loop
+The replay core's per-event walk
+(:class:`~repro.fleetops.engine.FleetReplayEngine`) pays a Python loop
 iteration — dict lookups, deque rotations, per-field appends — for every
 record in the stream.  This module amortises that cost into column-wise
 fleet-state updates: one :class:`ReplayKernel` per platform rebuilds the

@@ -1,64 +1,42 @@
-"""Fleet replay engine: merged telemetry stream -> incremental scoring -> alarms.
+"""Single-platform replay: a one-platform fleet over the replay core.
 
-The engine replays a whole campaign the way production would consume it —
-every DIMM's CE/UE/memory-event stream merged in global timestamp order —
-but at bulk-replay speed:
+:class:`ReplayEngine` replays one campaign the way production would
+consume it — every DIMM's CE/UE/memory-event stream merged in global
+timestamp order — and reports it as a :class:`StreamingReport`.  It owns
+no walk of its own: :meth:`ReplayEngine.replay` wraps its serving
+configuration in a one-entry
+:class:`~repro.fleetops.engine.ServingAssignment`, merges the store with
+:func:`~repro.fleetops.stream.merge_fleet_streams`, runs the
+:class:`~repro.fleetops.engine.FleetReplayEngine` core (quarantine,
+incremental or kernel-batched features, micro-batched scoring, alarm
+incidents over the :class:`~repro.streaming.bus.EventBus`, checkpoints),
+and projects the platform's entry back onto the report.
 
-* the merge comes straight off :class:`~repro.telemetry.columnar
-  .TelemetryColumns` (one ``np.lexsort`` over the three kind tables; ties
-  keep the CE < UE < event order of
-  :func:`repro.telemetry.log_store.iter_stream`), so no record objects are
-  touched on the hot path;
-* per-CE feature values come from
-  :class:`~repro.streaming.incremental.IncrementalWindowState` delta
-  updates instead of window re-scans;
-* model scoring is micro-batched: feature vectors accumulate and one
-  ``predict_proba`` call scores the batch (flushed on every UE so
-  alarm-vs-failure ordering is preserved);
-* alarming scores drive an :class:`~repro.streaming.alarms.AlarmManager`,
-  whose incident lifecycle events go out over the
-  :class:`~repro.streaming.bus.EventBus`.
-
-Two engines drive the same decision loop:
-
-* ``engine="batched"`` (default) — a
-  :class:`~repro.streaming.kernels.ReplayKernel` precomputes every
-  candidate CE's feature vector in column-wise numpy passes, and the loop
-  shrinks to the scoring candidates and UEs (rescore throttling, incident
-  blocking, flush boundaries, alarm ordering stay sequential);
-* ``engine="per_event"`` — the always-available pure-Python reference:
-  every record updates an
-  :class:`~repro.streaming.incremental.IncrementalWindowState` and
-  candidates are served by delta updates.
-
-Both produce identical scores, alarms, and bus traffic.
-``verify_parity=True`` cross-checks every served vector against the
-reference ``FeaturePipeline.transform_one`` — the bit-for-bit guarantee the
-CI streaming smoke job gates on (on either engine).
+Both of the core's walks are available: ``engine="batched"`` (default,
+the columnar :class:`~repro.streaming.kernels.ReplayKernel` fast path) and
+``engine="per_event"`` (the pure-Python reference).  They produce
+identical scores, alarms and bus traffic; ``verify_parity=True``
+cross-checks every served vector against its reference — the
+bit-for-bit guarantee the CI streaming smoke job gates on.
 """
 
 from __future__ import annotations
 
-import pickle
-import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.chaos.checkpoint import ReplayCheckpointer
-from repro.chaos.quarantine import quarantine_columns
+# Unused here; perfbench/layers.py patches the name on this module.
+from repro.chaos.quarantine import quarantine_columns  # noqa: F401
 from repro.features.labeling import LabelingParams
-from repro.obs.tracing import NULL_TRACER
 from repro.streaming.alarms import AlarmManager
 from repro.streaming.bus import EventBus
-from repro.streaming.incremental import (
-    IncrementalFeatureExtractor,
-    IncrementalWindowState,
-)
-from repro.streaming.kernels import ReplayKernel
-from repro.telemetry.columnar import CE_DIMM, CE_SERVER, CE_T, EV_KIND, EV_T, UE_T
 
 REPLAY_ENGINES = ("batched", "per_event")
+
+#: Platform-report entries copied verbatim onto a :class:`StreamingReport`.
+_PLATFORM_FIELDS = (
+    "ces", "ues", "mem_events", "scored_dimms", "fallbacks", "alarms",
+    "health",
+)
 
 
 @dataclass
@@ -132,7 +110,7 @@ class StreamingReport:
 
 
 class ReplayEngine:
-    """Streaming scorer over one campaign's telemetry."""
+    """Streaming scorer over one campaign's telemetry (a fleet of one)."""
 
     def __init__(
         self,
@@ -151,66 +129,49 @@ class ReplayEngine:
         batch_size: int = 256,
         verify_parity: bool = False,
         engine: str = "batched",
-        alarms: AlarmManager | None = None,
         score_hook=None,
         collect_scores: bool = False,
         obs=None,
         obs_labels: dict | None = None,
         heartbeat_every: int = 0,
     ):
-        if engine not in REPLAY_ENGINES:
-            raise ValueError(
-                f"unknown replay engine {engine!r}; expected one of "
-                f"{REPLAY_ENGINES}"
-            )
-        labeling = labeling if labeling is not None else LabelingParams()
-        self.extractor = IncrementalFeatureExtractor(pipeline)
-        self.pipeline = pipeline
-        self.model = model
-        self.threshold = float(threshold)
+        # Imported at call time: repro.fleetops imports repro.mlops, whose
+        # lifecycle imports this module.
+        from repro.fleetops.engine import FleetReplayEngine, ServingAssignment
+
         self.platform = platform
-        self.configs = configs
-        self.bus = bus if bus is not None else EventBus()
-        # An injected manager lets callers change incident semantics — the
-        # lifecycle passes one with an infinite horizon so incidents block
-        # until their UE, exactly like the serving layer's AlarmSystem.
-        self.alarms = alarms if alarms is not None else AlarmManager(
-            labeling.lead_hours, labeling.prediction_window_hours, self.bus
+        self.obs = obs
+        self._obs_labels = dict(obs_labels or {})
+        assignment = ServingAssignment(
+            platform=platform,
+            model_name="",  # the report takes it from replay()
+            train_platform=platform,
+            model=model,
+            threshold=threshold,
+            pipeline=pipeline,
+            configs=configs,
+            live_from_hour=live_from_hour,
+            alarm_from_hour=alarm_from_hour,
         )
-        self.live_from_hour = float(live_from_hour)
-        # Scoring starts at live_from_hour; alarms can be gated later still
-        # (the lifecycle scores the whole campaign to warm its rescore
-        # throttle but only alarms once the model is deployed).
-        self.alarm_from_hour = (
-            self.live_from_hour if alarm_from_hour is None
-            else float(alarm_from_hour)
+        self.core = FleetReplayEngine(
+            {platform: assignment},
+            labeling,
+            bus=bus,
+            min_ces_before_scoring=min_ces_before_scoring,
+            rescore_interval_hours=rescore_interval_hours,
+            batch_size=batch_size,
+            engine=engine,
+            collect_scores=collect_scores,
+            verify_parity=verify_parity,
+            score_hook=score_hook,
+            obs=obs,
+            heartbeat_every=heartbeat_every,
         )
-        self.min_ces_before_scoring = int(min_ces_before_scoring)
-        self.rescore_interval_hours = float(rescore_interval_hours)
-        self.batch_size = int(batch_size)
-        self.verify_parity = bool(verify_parity)
-        self.engine = engine
-        self.parity_checked = 0
-        self.parity_mismatches = 0
-        self._matrix_buf: np.ndarray | None = None
-        #: Per-score callback ``(dimm_id, t, features, score)`` run in flush
-        #: order (drift monitors, dashboards); None keeps the flush loop lean.
-        self.score_hook = score_hook
-        self.collect_scores = bool(collect_scores)
+        #: The last replay's alarm ledger.
+        self.alarms: AlarmManager | None = None
         #: ``(dimm_id, t, score)`` per scored vector when ``collect_scores``
         #: — the bit-for-bit record the fleet-parity suite compares.
         self.score_log: list[tuple[str, float, float]] = []
-        #: Optional :class:`repro.obs.Observability` bundle.  Spans exist
-        #: at stage granularity only and instruments are filled from the
-        #: finished report, so instrumented replays stay bit-identical.
-        self.obs = obs
-        self._obs_labels = dict(obs_labels or {})
-        self._tracer = obs.tracer if obs is not None else NULL_TRACER
-        #: Publish a live heartbeat snapshot every N processed walk
-        #: entries (0 = off).  Event-count based, never wall-clock, so
-        #: the heartbeat sequence is deterministic; heartbeats are
-        #: write-only (obs-parity), so scores/alarms/bus stay identical.
-        self.heartbeat_every = int(heartbeat_every)
 
     def replay(
         self,
@@ -224,593 +185,56 @@ class ReplayEngine:
     ) -> StreamingReport:
         """Replay every record in ``store`` (a :class:`LogStore`).
 
-        Malformed rows are quarantined to the bus dead-letter topic before
-        the walk starts (:mod:`repro.chaos.quarantine`); a clean store
-        passes through untouched, keeping clean runs bit-identical.
-
-        ``checkpoint_every`` + ``checkpoint_path`` write a snapshot every N
-        processed walk entries; ``resume_from`` restores one and skips the
-        already-processed prefix; ``halt_after`` stops this call after N
-        entries (writing a final snapshot when a path is set) and returns a
-        partial report with ``halted=True`` — the deterministic stand-in
-        for a killed process.  A resumed replay reproduces the
-        uninterrupted run's score log, alarms and bus counts exactly.
+        Quarantine and the checkpoint knobs (``checkpoint_every``,
+        ``checkpoint_path``, ``resume_from``, ``halt_after``) behave as in
+        :meth:`FleetReplayEngine.replay`; a halted call returns a partial
+        report with ``halted=True``.
         """
-        tracer = self._tracer
-        with tracer.span(
-            "replay",
-            platform=self.platform,
-            model=model_name,
-            engine=self.engine,
-            **self._obs_labels,
-        ) as root:
-            with tracer.span("replay.quarantine"):
-                columns, rejects = quarantine_columns(
-                    store.columns, bus=self.bus
-                )
-            ckpt = None
-            if (
-                checkpoint_every
-                or checkpoint_path is not None
-                or resume_from is not None
-                or halt_after is not None
-            ):
-                ckpt = ReplayCheckpointer(
-                    every=checkpoint_every,
-                    path=checkpoint_path,
-                    halt_after=halt_after,
-                    resume_from=resume_from,
-                    engine=self.engine,
-                    kind="replay",
-                )
-            if self.engine == "batched":
-                report = self._replay_batched(columns, model_name, ckpt, rejects)
-            else:
-                report = self._replay_per_event(columns, model_name, ckpt, rejects)
-            for stage in sorted(report.stage_seconds):
-                tracer.record(
-                    "replay.stage." + stage,
-                    wall_seconds=report.stage_seconds[stage],
-                )
-            root.attributes.update(
-                events=report.events,
-                scored=report.scored,
-                halted=report.halted,
+        from repro.fleetops.stream import merge_fleet_streams
+
+        platform = self.platform
+        core = self.core
+        stores = {platform: store}
+        stream = merge_fleet_streams(
+            stores, decode_payloads=(core.engine == "per_event")
+        )
+        fleet = core.replay(
+            stream,
+            stores,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+            resume_from=resume_from,
+            halt_after=halt_after,
+        )
+        runtime = core.runtimes[platform]
+        self.alarms = runtime.alarms
+        self.score_log = core.score_logs.get(platform, [])
+        report = StreamingReport(
+            platform=platform,
+            model_name=model_name,
+            engine=fleet.engine,
+            events=fleet.events,
+            scored=runtime.scored,
+            batches=runtime.batches,
+            seconds=fleet.seconds,
+            predict_seconds=runtime.predict_seconds,
+            threshold=runtime.threshold,
+            live_from_hour=runtime.live_from,
+            stage_seconds=fleet.stage_seconds,
+            bus_counts=fleet.bus_counts,
+            halted=fleet.halted,
+        )
+        entry = fleet.platforms.get(platform)
+        if entry is not None:
+            for name in _PLATFORM_FIELDS:
+                setattr(report, name, entry[name])
+            report.parity = entry.get("parity")
+            report.events_per_second = fleet.events_per_second
+            report.scores_per_second = (
+                report.scored / report.seconds if report.seconds > 0 else 0.0
             )
         if self.obs is not None:
             self.obs.record_streaming_report(
                 report, self._obs_labels or None
             )
         return report
-
-    def _replay_per_event(
-        self, columns, model_name: str, ckpt, rejects
-    ) -> StreamingReport:
-        """The pure-Python reference path: one loop iteration per record."""
-        ce_rows = columns.ces.rows()
-        ue_rows = columns.ues.rows()
-        ev_rows = columns.events.rows()
-        n_ce, n_ue, n_ev = len(ce_rows), len(ue_rows), len(ev_rows)
-        all_times = np.concatenate(
-            [ce_rows[:, CE_T], ue_rows[:, UE_T], ev_rows[:, EV_T]]
-        )
-        tags = np.empty(all_times.size, dtype=np.int8)
-        tags[:n_ce] = 0
-        tags[n_ce : n_ce + n_ue] = 1
-        tags[n_ce + n_ue :] = 2
-        # Stable two-key sort keeps iter_stream's CE < UE < event tie order.
-        order = np.lexsort((tags, all_times))
-        ce_list = ce_rows.tolist()
-        ue_list = ue_rows.tolist()
-        ev_list = ev_rows.tolist()
-
-        dimm_name = columns.dimms.name
-        server_name = columns.servers.name
-        configs = self.configs
-        live_from = self.live_from_hour
-        min_ces = self.min_ces_before_scoring
-        rescore = self.rescore_interval_hours
-        batch_size = self.batch_size
-        verify = self.verify_parity
-
-        states: dict[int, IncrementalWindowState] = {}
-        state_configs: dict[int, object] = {}
-        last_scored: dict[int, float] = {}
-        scored_dimms: set[int] = set()
-        retired_fallbacks = 0  # fallbacks of states popped on a UE
-        retired_rebuilds = 0  # likewise for late-arrival rebuilds
-        pending: list[tuple[str, float, np.ndarray]] = []
-        report = StreamingReport(
-            platform=self.platform,
-            model_name=model_name,
-            threshold=self.threshold,
-            live_from_hour=live_from,
-            engine="per_event",
-            stage_seconds={
-                "ingest": 0.0, "features": 0.0, "predict": 0.0, "alarms": 0.0,
-            },
-        )
-
-        walk = order.tolist()
-        if ckpt is not None and ckpt.resume_state is not None:
-            snap = pickle.loads(ckpt.resume_state["state"])
-            self.extractor = snap["extractor"]
-            states = snap["states"]
-            state_configs = snap["state_configs"]
-            self.alarms = snap["alarms"]
-            self.alarms.bus = self.bus
-            last_scored = snap["last_scored"]
-            scored_dimms = snap["scored_dimms"]
-            retired_fallbacks = snap["retired_fallbacks"]
-            retired_rebuilds = snap["retired_rebuilds"]
-            pending = snap["pending"]
-            self.score_log = snap["score_log"]
-            self.parity_checked, self.parity_mismatches = snap["parity"]
-            for key, value in snap["counters"].items():
-                setattr(report, key, value)
-            self.bus.restore_counts(ckpt.resume_state["bus_counts"])
-            walk = walk[ckpt.position:]
-        extractor = self.extractor
-        alarms = self.alarms
-
-        def snapshot() -> dict:
-            # One inner pickle preserves the shared references between
-            # states, the extractor's caches and the alarm ledger; the bus
-            # (unpicklable handler closures) is detached for the dump.
-            alarms.bus = None
-            try:
-                blob = pickle.dumps(
-                    {
-                        "extractor": extractor,
-                        "states": states,
-                        "state_configs": state_configs,
-                        "alarms": alarms,
-                        "last_scored": last_scored,
-                        "scored_dimms": scored_dimms,
-                        "retired_fallbacks": retired_fallbacks,
-                        "retired_rebuilds": retired_rebuilds,
-                        "pending": pending,
-                        "score_log": self.score_log,
-                        "parity": (
-                            self.parity_checked, self.parity_mismatches
-                        ),
-                        "counters": {
-                            "ces": report.ces,
-                            "ues": report.ues,
-                            "mem_events": report.mem_events,
-                            "scored": report.scored,
-                            "batches": report.batches,
-                        },
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            finally:
-                alarms.bus = self.bus
-            return {"state": blob, "bus_counts": self.bus.counts()}
-
-        stage = report.stage_seconds
-        feature_seconds = 0.0
-        alarm_seconds = 0.0
-        hb = self.heartbeat_every if self.obs is not None else 0
-        hb_total = n_ce + n_ue + n_ev
-        hb_processed = 0
-
-        start = time.perf_counter()
-        for index in walk:
-            if ckpt is not None and ckpt.step(snapshot):
-                report.halted = True
-                report.seconds = time.perf_counter() - start
-                report.events = n_ce + n_ue + n_ev
-                return report
-            if hb:
-                hb_processed += 1
-                if hb_processed % hb == 0:
-                    self.obs.heartbeat("replay", {
-                        "events": hb_processed,
-                        "total": hb_total,
-                        "fraction": hb_processed / hb_total,
-                        "hour": float(all_times[index]),
-                        "open_incidents": len(
-                            getattr(alarms, "_open", ())
-                        ),
-                        "scored": report.scored,
-                    })
-            if index < n_ce:
-                row = ce_list[index]
-                t = row[CE_T]
-                code = int(row[CE_DIMM])
-                state = states.get(code)
-                if state is None:
-                    state = extractor.state_for(dimm_name(code))
-                    states[code] = state
-                    state_configs[code] = configs.get(state.dimm_id)
-                if not state.server_id:
-                    state.server_id = server_name(int(row[CE_SERVER]))
-                state.add_ce(t, row[1], row[2], row[3], row[4], row[5],
-                             row[6], row[7], row[8], row[9], row[10])
-                report.ces += 1
-                if t < live_from or len(state.times) < min_ces:
-                    continue
-                config = state_configs[code]
-                if config is None:
-                    continue
-                last = last_scored.get(code)
-                if last is not None and t - last < rescore:
-                    continue
-                if alarms.blocked(state.dimm_id, t):
-                    continue
-                t0 = time.perf_counter()
-                features = extractor.serve(state, config, t)
-                feature_seconds += time.perf_counter() - t0
-                if verify:
-                    self.parity_checked += 1
-                    reference = self.pipeline.transform_one(
-                        state.history_view(), config, t
-                    )
-                    if not np.array_equal(features, reference):
-                        self.parity_mismatches += 1
-                last_scored[code] = t
-                scored_dimms.add(code)
-                pending.append((state.dimm_id, t, features))
-                if len(pending) >= batch_size:
-                    self._flush(pending, report)
-            elif index < n_ce + n_ue:
-                row = ue_list[index - n_ce]
-                if pending:
-                    # Alarm-vs-failure ordering: settle queued scores first.
-                    self._flush(pending, report)
-                code = int(row[1])
-                state = states.pop(code, None)
-                if state is not None:
-                    retired_fallbacks += state.fallbacks
-                    retired_rebuilds += state.rebuilds
-                predictable = state is not None and len(state.times) >= min_ces
-                dimm_id = state.dimm_id if state is not None else dimm_name(code)
-                t0 = time.perf_counter()
-                alarms.on_ue(dimm_id, row[0], predictable=predictable)
-                alarm_seconds += time.perf_counter() - t0
-                last_scored.pop(code, None)
-                report.ues += 1
-            else:
-                row = ev_list[index - n_ce - n_ue]
-                code = int(row[1])
-                state = states.get(code)
-                if state is None:
-                    state = extractor.state_for(dimm_name(code))
-                    states[code] = state
-                    state_configs[code] = configs.get(state.dimm_id)
-                state.add_event_code(int(row[EV_KIND]), row[EV_T])
-                report.mem_events += 1
-        if pending:
-            self._flush(pending, report)
-        report.seconds = time.perf_counter() - start
-
-        stage["features"] = feature_seconds
-        stage["predict"] = report.predict_seconds
-        stage["alarms"] += alarm_seconds
-        stage["ingest"] = max(
-            report.seconds - stage["features"] - stage["predict"]
-            - stage["alarms"],
-            0.0,
-        )
-        end_hour = float(all_times[order[-1]]) if all_times.size else 0.0
-        alarms.finalize(end_hour)
-        report.events = n_ce + n_ue + n_ev
-        report.scored_dimms = len(scored_dimms)
-        report.fallbacks = retired_fallbacks + sum(
-            state.fallbacks for state in states.values()
-        )
-        rebuilds = retired_rebuilds + sum(
-            state.rebuilds for state in states.values()
-        )
-        self._finish_report(report, verify, rejects, rebuilds)
-        return report
-
-    def _replay_batched(
-        self, columns, model_name: str, ckpt, rejects
-    ) -> StreamingReport:
-        """The columnar fast path: precomputed kernels + a candidate loop.
-
-        A :class:`ReplayKernel` precomputes the feature vector of every
-        scoring candidate (bit-for-bit the per-event serve result); the
-        loop then walks only the candidates and UEs in merged stream order,
-        keeping the inherently sequential decisions — rescore throttling,
-        incident blocking (``AlarmManager.blocked`` has lazy-expiry side
-        effects), micro-batch flush boundaries, alarm-vs-failure ordering —
-        exactly as the per-event engine makes them.
-        """
-        alarms = self.alarms
-        live_from = self.live_from_hour
-        rescore = self.rescore_interval_hours
-        batch_size = self.batch_size
-        verify = self.verify_parity
-
-        report = StreamingReport(
-            platform=self.platform,
-            model_name=model_name,
-            threshold=self.threshold,
-            live_from_hour=live_from,
-            engine="batched",
-            stage_seconds={
-                "ingest": 0.0, "features": 0.0, "predict": 0.0, "alarms": 0.0,
-            },
-        )
-        stage = report.stage_seconds
-        alarm_seconds = 0.0
-
-        start = time.perf_counter()
-        with self._tracer.span("replay.kernel_build"):
-            kernel = ReplayKernel(
-                self.pipeline,
-                columns,
-                self.configs,
-                min_ces_before_scoring=self.min_ces_before_scoring,
-                live_from_hour=live_from,
-            )
-
-        # Merged walk over candidates + UEs only (stable lexsort keeps the
-        # full stream's CE < UE tie order on the selected subset).
-        cand = np.flatnonzero(kernel.eligible)
-        n_cand = cand.size
-        sel_t = np.concatenate([kernel.ce_times[cand], kernel.ue_times])
-        sel_tag = np.empty(sel_t.size, dtype=np.int8)
-        sel_tag[:n_cand] = 0
-        sel_tag[n_cand:] = 1
-        sel_idx = np.concatenate(
-            [cand, np.arange(kernel.n_ue, dtype=np.int64)]
-        )
-        sel_code = np.concatenate(
-            [kernel.ce_codes[cand], kernel.ue_codes]
-        ).astype(np.int64)
-        order = np.lexsort((sel_tag, sel_t))
-
-        dimm_name = columns.dimms.name
-        cand_dimms = [
-            kernel.seg_dimm_ids[s] for s in kernel.seg_of_ce[cand].tolist()
-        ]
-        dimm_of_code: dict[int, str] = {}
-        row_of = kernel.row_of.tolist()
-        fallback_list = kernel.fallback.tolist()
-        ue_predictable = kernel.ue_predictable.tolist()
-        last_scored: dict[int, float] = {}
-        scored_dimms: set[int] = set()
-        served_fallbacks = 0
-        #: ``(dimm_id, t, query_row)`` — features materialise at flush time.
-        pending: list[tuple[str, float, int]] = []
-        # While a DIMM's incident blocks it, every candidate at
-        # ``t <= open_until`` would see ``blocked() -> True`` with no side
-        # effects, so those calls can be elided wholesale; the first
-        # candidate past the bound still calls ``blocked`` and triggers the
-        # lazy expiry publish at the same point the per-event engine does.
-        # Only the base manager guarantees these semantics — a subclass
-        # gets every call.
-        blocked_until: dict[int, float] = {}
-
-        if ckpt is not None and ckpt.resume_state is not None:
-            snap = pickle.loads(ckpt.resume_state["state"])
-            self.alarms = alarms = snap["alarms"]
-            alarms.bus = self.bus
-            last_scored = snap["last_scored"]
-            scored_dimms = snap["scored_dimms"]
-            served_fallbacks = snap["served_fallbacks"]
-            pending = snap["pending"]
-            blocked_until = snap["blocked_until"]
-            dimm_of_code = snap["dimm_of_code"]
-            self.score_log = snap["score_log"]
-            self.parity_checked, self.parity_mismatches = snap["parity"]
-            report.scored = snap["counters"]["scored"]
-            report.batches = snap["counters"]["batches"]
-            self.bus.restore_counts(ckpt.resume_state["bus_counts"])
-            order = order[ckpt.position:]
-        fast_alarms = type(alarms) is AlarmManager
-
-        def snapshot() -> dict:
-            # The kernel and walk order are deterministic functions of the
-            # store — only the sequential decision state is persisted.
-            alarms.bus = None
-            try:
-                blob = pickle.dumps(
-                    {
-                        "alarms": alarms,
-                        "last_scored": last_scored,
-                        "scored_dimms": scored_dimms,
-                        "served_fallbacks": served_fallbacks,
-                        "pending": pending,
-                        "blocked_until": blocked_until,
-                        "dimm_of_code": dimm_of_code,
-                        "score_log": self.score_log,
-                        "parity": (
-                            self.parity_checked, self.parity_mismatches
-                        ),
-                        "counters": {
-                            "scored": report.scored,
-                            "batches": report.batches,
-                        },
-                    },
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            finally:
-                alarms.bus = self.bus
-            return {"state": blob, "bus_counts": self.bus.counts()}
-
-        iters = zip(
-            sel_tag[order].tolist(),
-            sel_idx[order].tolist(),
-            sel_t[order].tolist(),
-            sel_code[order].tolist(),
-        )
-        cand_rank = np.empty(sel_t.size, dtype=np.int64)
-        cand_rank[:n_cand] = np.arange(n_cand)
-        cand_rank[n_cand:] = -1
-        ranks = cand_rank[order].tolist()
-        hb = self.heartbeat_every if self.obs is not None else 0
-        hb_total = int(sel_t.size)
-        hb_processed = 0
-        for (tag, index, t, code), rank in zip(iters, ranks):
-            if ckpt is not None and ckpt.step(snapshot):
-                report.halted = True
-                report.seconds = time.perf_counter() - start
-                report.ces = kernel.n_ce
-                report.ues = kernel.n_ue
-                report.mem_events = kernel.n_ev
-                report.events = kernel.n_ce + kernel.n_ue + kernel.n_ev
-                return report
-            if hb:
-                hb_processed += 1
-                if hb_processed % hb == 0:
-                    self.obs.heartbeat("replay", {
-                        "events": hb_processed,
-                        "total": hb_total,
-                        "fraction": (
-                            hb_processed / hb_total if hb_total else 1.0
-                        ),
-                        "hour": float(t),
-                        "open_incidents": len(
-                            getattr(alarms, "_open", ())
-                        ),
-                        "scored": report.scored,
-                    })
-            if tag == 0:
-                if rescore > 0:
-                    last = last_scored.get(code)
-                    if last is not None and t - last < rescore:
-                        continue
-                bound = blocked_until.get(code)
-                if bound is not None:
-                    if t <= bound:
-                        continue
-                    del blocked_until[code]
-                dimm_id = cand_dimms[rank]
-                if alarms.blocked(dimm_id, t):
-                    if fast_alarms:
-                        blocked_until[code] = alarms.open_until(dimm_id)
-                    continue
-                if fallback_list[index]:
-                    served_fallbacks += 1
-                if rescore > 0:
-                    last_scored[code] = t
-                scored_dimms.add(code)
-                pending.append((dimm_id, t, row_of[index]))
-                if len(pending) >= batch_size:
-                    self._flush_batched(kernel, pending, report)
-            else:
-                if pending:
-                    # Alarm-vs-failure ordering: settle queued scores first.
-                    self._flush_batched(kernel, pending, report)
-                dimm_id = dimm_of_code.get(code)
-                if dimm_id is None:
-                    dimm_id = dimm_of_code[code] = dimm_name(code)
-                t0 = time.perf_counter()
-                alarms.on_ue(dimm_id, t, predictable=ue_predictable[index])
-                alarm_seconds += time.perf_counter() - t0
-                blocked_until.pop(code, None)
-                if rescore > 0:
-                    last_scored.pop(code, None)
-        if pending:
-            self._flush_batched(kernel, pending, report)
-        report.seconds = time.perf_counter() - start
-
-        stage["predict"] = report.predict_seconds
-        stage["alarms"] += alarm_seconds
-        stage["ingest"] = max(
-            report.seconds - stage["features"] - stage["predict"]
-            - stage["alarms"],
-            0.0,
-        )
-        alarms.finalize(kernel.end_hour)
-        report.ces = kernel.n_ce
-        report.ues = kernel.n_ue
-        report.mem_events = kernel.n_ev
-        report.events = kernel.n_ce + kernel.n_ue + kernel.n_ev
-        report.scored_dimms = len(scored_dimms)
-        report.fallbacks = served_fallbacks
-        self._finish_report(report, verify, rejects, 0)
-        return report
-
-    def _finish_report(
-        self, report: StreamingReport, verify: bool, rejects, rebuilds: int = 0
-    ) -> None:
-        report.health = {
-            "rejected_events": rejects.total,
-            "rejects": dict(rejects.by_reason),
-            "fallback_scores": report.fallbacks,
-            "late_rebuilds": rebuilds,
-            "outage_seconds": 0.0,
-        }
-        report.events_per_second = (
-            report.events / report.seconds if report.seconds > 0 else 0.0
-        )
-        report.scores_per_second = (
-            report.scored / report.seconds if report.seconds > 0 else 0.0
-        )
-        report.alarms = self.alarms.summary(report.live_from_hour)
-        report.bus_counts = self.bus.counts()
-        if verify:
-            report.parity = {
-                "checked": self.parity_checked,
-                "mismatches": self.parity_mismatches,
-            }
-
-    def _batch_buffer(self, n: int, width: int) -> np.ndarray:
-        """The reused micro-batch score matrix (satellite of the hot loop:
-        no per-flush list-of-rows + ``np.asarray`` allocation)."""
-        buf = self._matrix_buf
-        if buf is None or buf.shape[0] < n or buf.shape[1] != width:
-            buf = self._matrix_buf = np.empty(
-                (max(n, self.batch_size), width)
-            )
-        return buf
-
-    def _flush(self, pending: list, report: StreamingReport) -> None:
-        """Score one per-event micro-batch and run the alarm decisions."""
-        n = len(pending)
-        buf = self._batch_buffer(n, pending[0][2].shape[0])
-        for i, (_, _, features) in enumerate(pending):
-            buf[i] = features
-        self._score_batch(buf[:n], pending, report)
-        pending.clear()
-
-    def _flush_batched(
-        self, kernel: ReplayKernel, pending: list, report: StreamingReport
-    ) -> None:
-        """Materialise one batched micro-batch's features, score, alarm."""
-        n = len(pending)
-        buf = self._batch_buffer(n, kernel.n_features)
-        rows = np.fromiter(
-            (row for _, _, row in pending), dtype=np.int64, count=n
-        )
-        t0 = time.perf_counter()
-        matrix = kernel.features_for(rows, out=buf[:n])
-        report.stage_seconds["features"] += time.perf_counter() - t0
-        if self.verify_parity:
-            for i, row in enumerate(rows.tolist()):
-                self.parity_checked += 1
-                reference = kernel.reference_for_query(row)
-                if not np.array_equal(matrix[i], reference):
-                    self.parity_mismatches += 1
-        self._score_batch(matrix, pending, report)
-        pending.clear()
-
-    def _score_batch(
-        self, matrix: np.ndarray, pending: list, report: StreamingReport
-    ) -> None:
-        """``predict_proba`` one matrix and run the alarm decisions in order."""
-        t0 = time.perf_counter()
-        scores = self.model.predict_proba(matrix)
-        t1 = time.perf_counter()
-        report.predict_seconds += t1 - t0
-        threshold = self.threshold
-        alarm_from = self.alarm_from_hour
-        hook = self.score_hook
-        collect = self.collect_scores
-        for i, ((dimm_id, t, _), score) in enumerate(zip(pending, scores)):
-            value = float(score)
-            if collect:
-                self.score_log.append((dimm_id, t, value))
-            if hook is not None:
-                hook(dimm_id, t, matrix[i], value)
-            if value >= threshold and t >= alarm_from:
-                self.alarms.on_alarm(dimm_id, t, value)
-        report.scored += len(pending)
-        report.batches += 1
-        report.stage_seconds["alarms"] += time.perf_counter() - t1

@@ -78,20 +78,21 @@ class TestCheckpointer:
         with pytest.raises(ValueError):
             ReplayCheckpointer(every=10)
 
-    def test_kind_and_engine_must_match(self, tmp_path, purley):
+    def test_platforms_and_engine_must_match(self, tmp_path, purley):
         simulation, pipeline = purley
         path = tmp_path / "ckpt.pkl"
         engine = _engine(simulation, pipeline, engine="batched")
         engine.replay(simulation.store, checkpoint_every=50,
                       checkpoint_path=path, halt_after=60)
         snap = load_checkpoint(path)
-        assert snap["kind"] == "replay" and snap["engine"] == "batched"
-        with pytest.raises(ValueError, match="kind="):
+        assert snap["platforms"] == ("intel_purley",)
+        assert snap["engine"] == "batched"
+        with pytest.raises(ValueError, match="platforms="):
             ReplayCheckpointer(resume_from=path, engine="batched",
-                               kind="fleet")
+                               platforms=("k920",))
         with pytest.raises(ValueError, match="engine="):
             ReplayCheckpointer(resume_from=path, engine="per_event",
-                               kind="replay")
+                               platforms=("intel_purley",))
 
     def test_version_check(self, tmp_path):
         import pickle
@@ -250,3 +251,22 @@ class TestFleetResume:
         assert resumed.fleet_cost == full.fleet_cost
         assert resumed.actions == full.actions
         assert resumed.bus_counts == full.bus_counts
+
+    @pytest.mark.parametrize("kind", REPLAY_ENGINES)
+    def test_resume_refuses_a_different_platform_set(
+        self, tmp_path, tiny_study, kind
+    ):
+        """Per-platform state is stored in stream order: resuming with the
+        stores reordered, or with fewer platforms, must fail loudly instead
+        of handing one platform's alarm ledger to another."""
+        assignments, stores = self._parts(tiny_study)
+        path = tmp_path / f"order-{kind}.pkl"
+        self._run(
+            assignments, stores, kind, checkpoint_path=path, halt_after=150
+        )
+        reordered = dict(reversed(list(stores.items())))
+        with pytest.raises(ValueError, match="platforms="):
+            self._run(assignments, reordered, kind, resume_from=path)
+        smaller = dict(list(stores.items())[:1])
+        with pytest.raises(ValueError, match="platforms="):
+            self._run(assignments, smaller, kind, resume_from=path)

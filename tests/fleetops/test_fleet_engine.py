@@ -67,8 +67,9 @@ def _fleet_replay(tiny_study, pipelines, stream_kwargs=None, **kwargs):
 
 
 class TestMergedParity:
-    """The acceptance bar: merged-fleet per-DIMM scores are bit-for-bit
-    the single-platform streaming path's scores."""
+    """The acceptance bar: a three-platform interleave through the replay
+    core scores every DIMM bit-for-bit like a one-platform run of the same
+    core (``ReplayEngine`` is that fleet of one)."""
 
     @pytest.fixture(scope="class")
     def merged(self, tiny_study, fitted_fleet):

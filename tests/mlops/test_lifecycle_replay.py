@@ -12,6 +12,7 @@ stream.
 import numpy as np
 import pytest
 
+from repro.features.labeling import LabelingParams
 from repro.features.pipeline import FeaturePipeline
 from repro.mlops.feature_store import FeatureStore
 from repro.mlops.lifecycle import replay_held_out
@@ -19,7 +20,6 @@ from repro.mlops.serving import MIN_CES_BEFORE_SCORING, RESCORE_INTERVAL_HOURS
 from repro.mlops.migration import MigrationSimulator
 from repro.mlops.model_registry import ModelRegistry
 from repro.mlops.serving import AlarmSystem, OnlinePredictionService
-from repro.streaming.alarms import AlarmManager
 from repro.streaming.replay import ReplayEngine
 from repro.telemetry.log_store import iter_stream
 from repro.telemetry.records import CERecord, UERecord
@@ -102,13 +102,12 @@ class TestLifecycleReplayParity:
             THRESHOLD,
             simulation.platform.name,
             configs=simulation.store.configs,
-            labeling=None,
+            labeling=LabelingParams(prediction_window_hours=float("inf")),
             live_from_hour=0.0,
             alarm_from_hour=split_hour,
             min_ces_before_scoring=MIN_CES_BEFORE_SCORING,
             rescore_interval_hours=RESCORE_INTERVAL_HOURS,
             batch_size=1,
-            alarms=AlarmManager(3.0, float("inf")),
             collect_scores=True,
         )
         report = engine.replay(simulation.store)

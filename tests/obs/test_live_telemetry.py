@@ -367,7 +367,7 @@ class TestLiveReplayTelemetry:
             tuple(sorted(s["labels"].items())): s["value"]
             for s in snapshot["repro_heartbeats_total"]["samples"]
         }
-        assert beats[(("source", "replay"), ("worker", ""))] >= 1
-        latest = obs.progress.last("replay")
+        assert beats[(("source", "fleet_replay"), ("worker", ""))] >= 1
+        latest = obs.progress.last("fleet_replay")
         assert latest is not None
         assert latest["fields"]["events"] <= report.events

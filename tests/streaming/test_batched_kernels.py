@@ -4,9 +4,10 @@ The batched engine (:mod:`repro.streaming.kernels`) must be bit-for-bit
 the pure-Python per-event loop on ANY stream — the property suite here
 drives both engines over randomized synthetic campaigns full of the
 hard cases (out-of-order appends, same-timestamp CE/UE/storm ties,
-storm and repair interleavings, rescore-throttled regressing queries)
-and asserts the complete observable state matches: score logs, alarm
-ledgers, bus traffic, batch structure and fallback counts.
+storm and repair interleavings, rescore-throttled regressing queries,
+alarms gated later than scoring) and asserts the complete observable
+state matches: score logs, score-hook calls, alarm ledgers, bus traffic,
+batch structure and fallback counts.
 """
 
 from __future__ import annotations
@@ -131,10 +132,12 @@ def stream_case(draw):
             )
     # Out-of-order arrival: append order is a random permutation.
     order = draw(st.permutations(range(len(records))))
+    live_from = draw(st.sampled_from([0.0, MAX_TICK * GRID_HOURS / 2]))
     knobs = {
         "rescore_interval_hours": draw(st.sampled_from([0.0, 1.0])),
-        "live_from_hour": draw(
-            st.sampled_from([0.0, MAX_TICK * GRID_HOURS / 2])
+        "live_from_hour": live_from,
+        "alarm_from_hour": live_from + draw(
+            st.sampled_from([0.0, 6.0, MAX_TICK * GRID_HOURS / 4])
         ),
         "batch_size": draw(st.sampled_from([3, 64])),
         "threshold": draw(st.sampled_from([0.45, 0.7, 0.999])),
@@ -150,9 +153,16 @@ def _build_store(records, n_dimms: int = 3) -> LogStore:
     return store
 
 
-def _run(store, engine: str, knobs: dict) -> tuple[ReplayEngine, object]:
+def _run(
+    store, engine: str, knobs: dict
+) -> tuple[ReplayEngine, object, list]:
     pipeline = FeaturePipeline()
     pipeline.fit(store)
+    calls = []
+
+    def hook(dimm_id, t, features, score):
+        calls.append((dimm_id, t, features.tobytes(), score))
+
     replayer = ReplayEngine(
         pipeline,
         _SpreadModel(),
@@ -162,19 +172,21 @@ def _run(store, engine: str, knobs: dict) -> tuple[ReplayEngine, object]:
         labeling=LabelingParams(),
         bus=EventBus(),
         live_from_hour=knobs["live_from_hour"],
+        alarm_from_hour=knobs["alarm_from_hour"],
         rescore_interval_hours=knobs["rescore_interval_hours"],
         batch_size=knobs["batch_size"],
         engine=engine,
         verify_parity=True,
+        score_hook=hook,
         collect_scores=True,
     )
     report = replayer.replay(store, model_name="spread")
-    return replayer, report
+    return replayer, report, calls
 
 
 def _assert_engines_identical(store, knobs):
-    batched, b_report = _run(store, "batched", knobs)
-    per_event, p_report = _run(store, "per_event", knobs)
+    batched, b_report, b_calls = _run(store, "batched", knobs)
+    per_event, p_report, p_calls = _run(store, "per_event", knobs)
     # The served vectors themselves are pinned against transform_one...
     assert b_report.parity == {
         "checked": b_report.scored, "mismatches": 0
@@ -184,6 +196,12 @@ def _assert_engines_identical(store, knobs):
     }
     # ...and every observable output matches the reference loop exactly.
     assert batched.score_log == per_event.score_log
+    assert b_calls == p_calls
+    assert len(b_calls) == b_report.scored
+    assert all(
+        incident.opened_hour >= knobs["alarm_from_hour"]
+        for incident in batched.alarms.incidents
+    )
     assert b_report.scored == p_report.scored
     assert b_report.batches == p_report.batches
     assert b_report.scored_dimms == p_report.scored_dimms
@@ -212,6 +230,7 @@ class TestDeterministicTies:
     KNOBS = {
         "rescore_interval_hours": 0.0,
         "live_from_hour": 0.0,
+        "alarm_from_hour": 0.0,
         "batch_size": 3,
         "threshold": 0.45,
     }
