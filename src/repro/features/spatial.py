@@ -117,7 +117,10 @@ class SpatialExtractor:
 
         Windows are flattened into (sample, CE) pairs — overlapping windows
         duplicate members, but every group statistic then reduces to sorted
-        run-length segments, with no per-sample Python loops.
+        run-length segments, with no per-sample Python loops.  The keys are
+        ranked once per history (:meth:`BatchWindows.spatial_ranks`), so
+        each side — and the cells — is one ``np.sort`` of packed
+        ``sample * n + rank`` int64 keys.
         """
         if windows is None:
             windows = BatchWindows(history, ts)
@@ -128,32 +131,26 @@ class SpatialExtractor:
         sid, idx = windows.pairs(self.observation_hours)
         if sid.size == 0:
             return out
+        ranks = windows.spatial_ranks()
 
-        rows = history.rows[idx]
-        columns = history.columns[idx]
-        banks = history.banks[idx]
-        devices = history.devices[idx]
-
-        # Incremental composition (same keys _compose builds, one multiply
-        # per level instead of re-deriving every prefix).
-        bank_keys = devices * 1_048_576 + banks
-        row_keys = bank_keys * 1_048_576 + rows
-        column_keys = bank_keys * 1_048_576 + columns
-        cell_keys = row_keys * 1_048_576 + columns
-
-        # One lexsort per hierarchy side: the row-side order (sid, row_key,
-        # column) is simultaneously grouped by bank and device (three-level
-        # compose keys are wrap-free, so the prefix order is preserved),
-        # yielding all the distinct counts without separate sorts.
+        # Row-rank order is also (device, bank) order (three-level keys are
+        # wrap-free), so the row side yields the distinct bank / device
+        # counts without separate sorts.
         row_side = _line_side(
-            sid, row_keys, columns, bank_keys, devices,
-            self.line_threshold, self.min_distinct, n,
+            sid, ranks.row_pair[idx], ranks.row_line, ranks.row_bank,
+            ranks.row_device, self.line_threshold, self.min_distinct, n,
         )
         column_side = _line_side(
-            sid, column_keys, rows, bank_keys, None,
-            self.line_threshold, self.min_distinct, n,
+            sid, ranks.column_pair[idx], ranks.column_line, ranks.column_bank,
+            None, self.line_threshold, self.min_distinct, n,
         )
-        max_cell = _max_group_per_sample(sid, cell_keys, n)
+        cells = np.sort(sid * ranks.n_cells + ranks.cell[idx])
+        cell_starts = np.flatnonzero(_run_starts(cells))
+        max_cell = _max_per_sample(
+            cells[cell_starts] // ranks.n_cells,
+            np.diff(np.append(cell_starts, cells.size)),
+            n,
+        )
 
         out[:, 0] = row_side.distinct_lines
         out[:, 1] = column_side.distinct_lines
@@ -192,27 +189,26 @@ def _max_group_count(keys: np.ndarray) -> int:
     return int(counts.max())
 
 
-def _segment_starts(sid: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Boolean mask of (sample, key) group starts in lexsorted order."""
-    starts = np.ones(sid.size, dtype=bool)
-    starts[1:] = (sid[1:] != sid[:-1]) | (keys[1:] != keys[:-1])
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Boolean mask of run starts in a sorted array."""
+    starts = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=starts[1:])
     return starts
 
 
-def _max_group_per_sample(sid: np.ndarray, keys: np.ndarray, n: int) -> np.ndarray:
-    """Largest same-key group size inside each sample's window."""
-    order = np.lexsort((keys, sid))
-    s = sid[order]
-    starts = np.flatnonzero(_segment_starts(s, keys[order]))
-    counts = np.diff(np.append(starts, s.size))
+def _max_per_sample(
+    samples: np.ndarray, values: np.ndarray, n: int
+) -> np.ndarray:
+    """Per-sample max of ``values`` (``samples`` sorted; absent -> 0)."""
+    firsts = np.flatnonzero(_run_starts(samples))
     result = np.zeros(n)
-    np.maximum.at(result, s[starts], counts.astype(float))
+    result[samples[firsts]] = np.maximum.reduceat(values, firsts)
     return result
 
 
 @dataclass
 class _LineSideStats:
-    """Everything one hierarchy side yields from a single lexsort."""
+    """Everything one hierarchy side yields from a single sort."""
 
     distinct_lines: np.ndarray
     max_line: np.ndarray
@@ -224,46 +220,43 @@ class _LineSideStats:
 
 def _line_side(
     sid: np.ndarray,
-    line_keys: np.ndarray,
-    cross: np.ndarray,
-    bank_keys: np.ndarray,
-    devices: np.ndarray | None,
+    pair: np.ndarray,
+    line_of: np.ndarray,
+    bank_of: np.ndarray,
+    device_of: np.ndarray | None,
     line_threshold: int,
     min_distinct: int,
     n: int,
 ) -> _LineSideStats:
     """Per-sample statistics of one hierarchy side (rows or columns).
 
+    ``pair`` holds each (sample, CE) pair's (line, cross) rank; the
+    ``*_of`` tables map a pair rank to its line rank, bank key and device.
     A line is faulty when it has >= ``line_threshold`` CEs across >=
-    ``min_distinct`` distinct cross coordinates.  Because line keys embed
-    the (device, bank) prefix without wraparound, the same sorted order is
-    grouped by bank and (when ``devices`` is given) by device, so distinct
-    bank / device counts ride along for free.
+    ``min_distinct`` distinct cross coordinates.  Line ranks follow the
+    (device, bank)-prefixed key order, so the sorted groups are also
+    grouped by bank and (when ``device_of`` is given) by device, and the
+    distinct bank / device counts ride along for free.
     """
-    order = np.lexsort((cross, line_keys, sid))
-    s = sid[order]
-    k = line_keys[order]
-    c = cross[order]
-    b = bank_keys[order]
+    n_pairs = line_of.size
+    keys = np.sort(sid * n_pairs + pair)
+    s = keys // n_pairs
+    p = keys - s * n_pairs
+    line = line_of[p]
 
-    sid_start = np.ones(s.size, dtype=bool)
-    sid_start[1:] = s[1:] != s[:-1]
-    group_start = sid_start.copy()
-    group_start[1:] |= k[1:] != k[:-1]
-    cross_start = group_start.copy()
-    cross_start[1:] |= c[1:] != c[:-1]
+    cross_start = _run_starts(keys)
+    group_start = _run_starts(s)
+    group_start[1:] |= line[1:] != line[:-1]
 
     gid = np.cumsum(group_start) - 1
-    group_counts = np.bincount(gid)
     distinct_cross = np.bincount(gid[cross_start])
-
     starts = np.flatnonzero(group_start)
+    group_counts = np.diff(np.append(starts, keys.size))
     group_sample = s[starts]
-    group_bank = b[starts]
+    group_pair = p[starts]
 
     distinct_lines = np.bincount(group_sample, minlength=n).astype(float)
-    max_line = np.zeros(n)
-    np.maximum.at(max_line, group_sample, group_counts.astype(float))
+    max_line = _max_per_sample(group_sample, group_counts.astype(float), n)
 
     has_fault = np.zeros(n)
     faulty = (group_counts >= line_threshold) & (distinct_cross >= min_distinct)
@@ -271,7 +264,7 @@ def _line_side(
         has_fault[group_sample[faulty]] = 1.0
         # Bank keys are two compose levels (< 2^25), so (sample << 32) |
         # bank is collision-free in int64.
-        pairs = (group_sample[faulty].astype(np.int64) << 32) + group_bank[faulty]
+        pairs = (group_sample[faulty] << 32) + bank_of[group_pair[faulty]]
     else:
         pairs = np.empty(0, dtype=np.int64)
 
@@ -281,16 +274,21 @@ def _line_side(
         has_fault=has_fault,
         fault_pairs=pairs,
     )
-    if devices is not None:
-        bank_start = sid_start.copy()
-        bank_start[1:] |= b[1:] != b[:-1]
-        stats.distinct_banks = np.bincount(
-            s[bank_start], minlength=n
-        ).astype(float)
-        d = devices[order]
-        device_start = sid_start.copy()
-        device_start[1:] |= d[1:] != d[:-1]
-        stats.distinct_devices = np.bincount(
-            s[device_start], minlength=n
-        ).astype(float)
+    if device_of is not None:
+        sample_start = _run_starts(group_sample)
+        stats.distinct_banks = _distinct_per_sample(
+            group_sample, sample_start, bank_of[group_pair], n
+        )
+        stats.distinct_devices = _distinct_per_sample(
+            group_sample, sample_start, device_of[group_pair], n
+        )
     return stats
+
+
+def _distinct_per_sample(
+    samples: np.ndarray, sample_start: np.ndarray, values: np.ndarray, n: int
+) -> np.ndarray:
+    """Distinct ``values`` per sample, ``values`` sorted within each sample."""
+    start = sample_start.copy()
+    start[1:] |= values[1:] != values[:-1]
+    return np.bincount(samples[start], minlength=n).astype(float)

@@ -169,7 +169,7 @@ class EnvironmentExtractor:
 
         ``server_codes[i]`` is the :meth:`server_code` of sample ``i``'s
         server (-1 for servers unseen at fit time, which score zeros just
-        like the per-DIMM path).  One segmented merge replaces the
+        like the per-DIMM path).  One segmented search replaces the
         per-DIMM ``np.searchsorted`` pair, bit-for-bit.
         """
         ts = np.asarray(ts, dtype=float)

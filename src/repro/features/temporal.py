@@ -127,19 +127,8 @@ class TemporalExtractor:
         mean_gap = np.where(
             multi, span / np.maximum(sizes - 1, 1), observation
         )
-        # min over gaps[lo : hi - 1] == min of diff(times[lo:hi]); the
-        # interleaved-pairs reduceat answers every window in one C call
-        # (odd positions cover the unwanted inter-window stretches).  The
-        # inf sentinel keeps every index legal without clipping away the
-        # final gap; windows with fewer than two CEs are masked after.
-        gaps = windows.gap_array()
-        bounds = np.empty(2 * n, dtype=np.int64)
-        bounds[0::2] = np.minimum(lo_obs, gaps.size - 1)
-        bounds[1::2] = np.minimum(
-            np.maximum(hi - 1, bounds[0::2]), gaps.size - 1
-        )
         min_gap = np.where(
-            multi, np.minimum.reduceat(gaps, bounds)[0::2], observation
+            multi, _min_gap_batch(windows, observation, sizes), observation
         )
 
         max_hourly = _max_hourly_batch(times, ts, windows.pairs(24.0))
@@ -166,6 +155,31 @@ class TemporalExtractor:
         out[:, base + 9] = windows.repair_counts(observation)
         out[:, base + 10] = acceleration
         return out
+
+
+def _min_gap_batch(
+    windows: BatchWindows, observation: float, sizes: np.ndarray
+) -> np.ndarray:
+    """Min inter-arrival gap inside each sample's observation window.
+
+    ``min(diff(times[lo:hi]))`` is the min of ``gaps[lo : hi - 1]``: one
+    ``minimum.reduceat`` over the window's own (sample, CE) pairs — the
+    ones spatial and bit-level share — with each window's last member
+    masked to ``inf``.  Windows with fewer than two CEs come out ``inf``
+    (or 0 when empty); callers mask them.
+    """
+    result = np.zeros(sizes.size)
+    _, idx = windows.pairs(observation)
+    if not idx.size:
+        return result
+    pair_gaps = windows.gap_array()[idx]
+    ends = np.cumsum(sizes)
+    nonempty = sizes > 0
+    pair_gaps[ends[nonempty] - 1] = np.inf
+    result[nonempty] = np.minimum.reduceat(
+        pair_gaps, (ends - sizes)[nonempty]
+    )
+    return result
 
 
 def _max_hourly_batch(

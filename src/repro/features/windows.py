@@ -4,13 +4,16 @@ The feature extractors slice a DIMM's CE/event history by time window many
 times per sample; :class:`DimmHistory` stores everything as sorted numpy
 arrays so each slice is two binary searches.
 
-Two batch-era companions live here as well:
+Three batch-era companions live here as well:
 
 * :class:`BatchWindows` precomputes, once per (history, sample-times) pair,
   the window boundary indices every extractor needs — one
   ``np.searchsorted`` of all sample times per distinct boundary array —
   so the vectorized ``compute_batch`` paths replace per-sample slicing
   with cumulative-sum / segment aggregations over shared indices.
+* :class:`SpatialRanks` ranks the spatial extractor's DRAM-hierarchy keys
+  once per history, so a batch of windows needs one sort of packed
+  ``(sample, rank)`` integer keys per hierarchy side.
 * :class:`AppendableDimmHistory` grows amortised-O(1) per record (doubling
   buffers) and hands out zero-copy :class:`DimmHistory` views, so streaming
   consumers stop rebuilding every array from raw records on each CE.
@@ -244,6 +247,11 @@ class BatchWindows:
         :meth:`gap_array`)."""
         return prefix_sum(self.history.n_devices >= 2)
 
+    def spatial_ranks(self) -> "SpatialRanks":
+        """Dense ranks of the history's spatial keys (cacheable like
+        :meth:`gap_array`)."""
+        return SpatialRanks.of(self.history)
+
     def since_first(self, observation_hours: float) -> np.ndarray:
         """Hours between each sample time and its DIMM's first CE."""
         times = self.history.times
@@ -288,7 +296,7 @@ class FleetWindows(BatchWindows):
     DIMM's history concatenated into ragged arrays — and sample ``i``
     belongs to DIMM segment ``sample_seg[i]``.  Window indices are *global*
     (into the concatenated arrays), and every boundary resolution happens
-    in one fleet-wide merge (:func:`segmented_searchsorted`) instead of two
+    in one fleet-wide :func:`segmented_searchsorted` instead of two
     ``np.searchsorted`` calls per DIMM.  Because window members never cross
     segment boundaries, the inherited aggregation machinery (``counts`` /
     ``expand`` / ``pairs`` and the extractors' segment reductions keyed by
@@ -326,7 +334,7 @@ class FleetWindows(BatchWindows):
         return lo
 
     def prefetch(self, windows_hours) -> None:
-        """Resolve several window lengths with one fused segmented merge."""
+        """Resolve several window lengths with one fused segmented search."""
         missing = [
             w for w in dict.fromkeys(map(float, windows_hours))
             if w not in self._lo
@@ -408,6 +416,84 @@ class FleetWindows(BatchWindows):
             np.arange(offsets.size - 1),
         )
         return hi - lo, hi - lo0[self.sample_seg]
+
+
+@dataclass(frozen=True)
+class SpatialRanks:
+    """The spatial extractor's DRAM-hierarchy keys, ranked once per history.
+
+    Each hierarchy side pairs a *line* key (``(device, bank, row)`` for the
+    row side, ``(device, bank, column)`` for the column side) with a
+    *cross* coordinate (the raw column, resp. row).  ``row_pair`` /
+    ``column_pair`` give each CE the dense, order-preserving rank of its
+    (line key, cross) pair, so a batch of windows sorts one int64
+    ``sample * n_pairs + pair`` key per side; the ``*_line`` / ``*_bank`` /
+    ``*_device`` tables map a pair rank back to its line-key rank, its
+    ``(device, bank)`` key and its device.  ``cell`` ranks the 4-level
+    cell key.
+    """
+
+    row_pair: np.ndarray
+    row_line: np.ndarray
+    row_bank: np.ndarray
+    row_device: np.ndarray
+    column_pair: np.ndarray
+    column_line: np.ndarray
+    column_bank: np.ndarray
+    cell: np.ndarray
+    n_cells: int
+
+    @classmethod
+    def of(cls, history) -> "SpatialRanks":
+        devices = history.devices.astype(np.int64)
+        # The keys SpatialExtractor.compute builds with _compose, 2^20 per
+        # level, one multiply per level.
+        bank_keys = devices * 1_048_576 + history.banks
+        row_keys = bank_keys * 1_048_576 + history.rows
+        column_keys = bank_keys * 1_048_576 + history.columns
+        # Known bug, kept for parity with the per-sample reference: the
+        # 4-level cell key is device * 2^60 + ..., which wraps int64, so
+        # devices d and d + 16 (same bank, row and column) alias into one
+        # cell and inflate spatial_max_ces_one_cell / spatial_cell_fault.
+        # Ranking the wrapped value keeps the alias; fixing it changes
+        # feature values in every engine at once.
+        cell_keys = row_keys * 1_048_576 + history.columns
+        cell_values, cell = np.unique(cell_keys, return_inverse=True)
+
+        row_pair, row_line = _pair_ranks(row_keys, history.columns)
+        column_pair, column_line = _pair_ranks(column_keys, history.rows)
+        return cls(
+            row_pair=row_pair,
+            row_line=row_line,
+            row_bank=_scatter(row_pair, row_line.size, bank_keys),
+            row_device=_scatter(row_pair, row_line.size, devices),
+            column_pair=column_pair,
+            column_line=column_line,
+            column_bank=_scatter(column_pair, column_line.size, bank_keys),
+            cell=cell,
+            n_cells=int(cell_values.size),
+        )
+
+
+def _pair_ranks(
+    line_keys: np.ndarray, cross: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item dense rank of ``(line key, cross)`` in lexicographic order,
+    and the pair-rank -> line-key-rank table."""
+    _, line = np.unique(line_keys, return_inverse=True)
+    cross_values, cross_rank = np.unique(cross, return_inverse=True)
+    width = max(cross_values.size, 1)
+    pair_keys, pair = np.unique(
+        line * width + cross_rank, return_inverse=True
+    )
+    return pair, pair_keys // width
+
+
+def _scatter(index: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
+    """``table[index[i]] = values[i]`` (values agree within each index)."""
+    table = np.empty(size, dtype=np.int64)
+    table[index] = values
+    return table
 
 
 def prefix_sum(values: np.ndarray) -> np.ndarray:

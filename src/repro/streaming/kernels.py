@@ -34,9 +34,16 @@ strictly before it, and the fitted (static) environment index.
   substitution makes the batch computation equal
   ``FeaturePipeline.transform_one`` on the arrival prefix, bit for bit —
   including the int64 cell-key wrap in the spatial extractor.
-* **Window starts** — resolved per sub-window with one fleet-wide
-  :func:`~repro.telemetry.columnar.segmented_searchsorted` merge
-  (identical float comparisons to per-DIMM ``np.searchsorted``).
+* **Window starts** — resolved for every sub-window at once by one
+  fleet-wide :func:`~repro.telemetry.columnar.segmented_searchsorted`
+  (exact integer keys and one ``np.searchsorted``: identical float
+  comparisons to per-DIMM ``np.searchsorted``).
+* **History-invariant tables** — the gap array, the multi-device prefix
+  counts and the spatial key ranks
+  (:class:`~repro.features.windows.SpatialRanks`) depend only on the
+  stream-ordered fleet, so they are built once and every flush's
+  :class:`PrefixWindows` serves the cached copies; a flush then sorts
+  only its own (sample, CE) pairs.
 * **Arrival-exact storm/repair bounds** — a storm or repair logged at
   exactly ``t`` sorts *after* the CE (tie order), so the per-event state
   has not seen it when the CE is served; :class:`PrefixWindows` therefore
@@ -63,6 +70,7 @@ from repro.features.windows import (
     SUB_WINDOWS_HOURS,
     DimmHistory,
     FleetWindows,
+    SpatialRanks,
 )
 from repro.telemetry.columnar import (
     CE_DIMM,
@@ -109,6 +117,7 @@ class PrefixWindows(FleetWindows):
         since_first: np.ndarray | None = None,
         gaps: np.ndarray | None = None,
         multi_prefix: np.ndarray | None = None,
+        spatial_ranks: SpatialRanks | None = None,
     ):
         self.history = fleet
         self.ts = np.asarray(ts, dtype=float)
@@ -116,9 +125,9 @@ class PrefixWindows(FleetWindows):
         self.ends = self.ts + EPS
         self._base = fleet.ce_offsets[self.sample_seg]
         self.hi = np.asarray(hi, dtype=np.int64)
-        # Pre-resolved boundary tables (one fleet-wide merge at kernel
-        # build) — per-chunk queries then reduce to array gathers.  Any
-        # window length not seeded falls back to the inherited resolve.
+        # Pre-resolved boundary tables (one fleet-wide segmented search at
+        # kernel build) — per-chunk queries then reduce to array gathers.
+        # Any window length not seeded falls back to the inherited resolve.
         self._lo: dict[float, np.ndarray] = (
             dict(lo_tables) if lo_tables else {}
         )
@@ -128,6 +137,7 @@ class PrefixWindows(FleetWindows):
         self._since_first = since_first
         self._gaps = gaps
         self._multi_prefix = multi_prefix
+        self._spatial_ranks = spatial_ranks
 
     def gap_array(self) -> np.ndarray:
         if self._gaps is not None:
@@ -138,6 +148,11 @@ class PrefixWindows(FleetWindows):
         if self._multi_prefix is not None:
             return self._multi_prefix
         return super().multi_device_prefix()
+
+    def spatial_ranks(self) -> SpatialRanks:
+        if self._spatial_ranks is not None:
+            return self._spatial_ranks
+        return super().spatial_ranks()
 
     @property
     def event_ends(self) -> np.ndarray:
@@ -442,7 +457,8 @@ class ReplayKernel:
         """Resolve every query's window boundaries once, fleet-wide.
 
         Per-flush feature serving then reduces to array gathers plus the
-        pair-level aggregation — no O(fleet) merges inside the hot loop.
+        pair-level aggregation — no O(fleet) searches or sorts inside the
+        hot loop.
         """
         if self._static_rows is not None:
             return
@@ -469,7 +485,7 @@ class ReplayKernel:
 
         q_ts, q_seg, q_hi = self._q_ts, self._q_seg, self._q_hi
         n_q = q_ts.size
-        # One fused merge resolves every window start the extractors ask for.
+        # One fused search resolves every window start the extractors ask for.
         lengths = tuple(dict.fromkeys(
             SUB_WINDOWS_HOURS
             + (
@@ -540,6 +556,7 @@ class ReplayKernel:
         self._gap_array = np.append(np.diff(fleet.times), np.inf)
         self._multi_prefix = np.zeros(fleet.times.size + 1)
         np.cumsum(fleet.n_devices >= 2, out=self._multi_prefix[1:])
+        self._spatial_ranks = SpatialRanks.of(fleet)
 
     def features_for(
         self, rows: np.ndarray, out: np.ndarray | None = None
@@ -585,6 +602,7 @@ class ReplayKernel:
                 since_first=self._since_first_all[rows_sl],
                 gaps=self._gap_array,
                 multi_prefix=self._multi_prefix,
+                spatial_ranks=self._spatial_ranks,
             )
             temporal = pipeline.temporal.compute_batch(
                 self.fleet, windows.ts, windows

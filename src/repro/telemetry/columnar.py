@@ -497,13 +497,15 @@ def segmented_searchsorted(
 
     ``values`` concatenates per-segment sorted arrays (segment ``s`` lives
     in ``values[value_offsets[s]:value_offsets[s + 1]]``).  Queries carry
-    their segment in ``query_segments`` and need not be sorted.  One stable
-    lexsort of (segment, value, query-before-value) merges everything; each
-    query's within-segment insertion index is then the running count of
-    values ahead of it minus the values of earlier segments.  The float
-    comparisons are exactly those of per-segment ``np.searchsorted`` calls,
-    so the result is bit-for-bit identical — just without the per-segment
-    call overhead.
+    their segment in ``query_segments`` and need not be sorted.  Values and
+    queries are mapped to exact integer keys ``segment * (U + 1) + rank``,
+    where ``rank`` is the ``side="left"`` insertion index into the ``U``
+    unique values: ``v >= x`` if and only if ``rank(v) >= rank(x)``, so the
+    value keys come out sorted (segments are contiguous, values sorted
+    within them) and one ``np.searchsorted`` of the query keys answers
+    every query.  The float comparisons are exactly those of per-segment
+    ``np.searchsorted`` calls, so the result is bit-for-bit identical --
+    just without the per-segment call overhead.
     """
     n_values = values.size
     n_queries = queries.size
@@ -511,20 +513,15 @@ def segmented_searchsorted(
         return np.empty(0, dtype=np.int64)
     if n_values == 0:
         return np.zeros(n_queries, dtype=np.int64)
+    unique = np.unique(values)
+    stride = unique.size + 1
     value_segments = np.repeat(
         np.arange(value_offsets.size - 1), np.diff(value_offsets)
     )
-    merged_values = np.concatenate([values, queries])
-    merged_segments = np.concatenate([value_segments, query_segments])
-    # side="left": queries sort before equal values.
-    tags = np.zeros(merged_values.size, dtype=np.int8)
-    tags[:n_values] = 1
-    order = np.lexsort((tags, merged_values, merged_segments))
-    value_running = np.cumsum(order < n_values)
-    query_positions = np.flatnonzero(order >= n_values)
-    result = np.empty(n_queries, dtype=np.int64)
-    result[order[query_positions] - n_values] = (
-        value_running[query_positions]
-        - value_offsets[query_segments[order[query_positions] - n_values]]
+    value_keys = value_segments * stride + np.searchsorted(unique, values)
+    query_segments = np.asarray(query_segments, dtype=np.int64)
+    query_keys = query_segments * stride + np.searchsorted(unique, queries)
+    return (
+        np.searchsorted(value_keys, query_keys)
+        - value_offsets[query_segments]
     )
-    return result

@@ -9,10 +9,17 @@ three simulated platforms.
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.features.pipeline import FeaturePipeline
 from repro.features.windows import DimmHistory
 from repro.telemetry.log_store import LogStore
+from repro.telemetry.records import CERecord, DimmConfigRecord
+
+#: Primary devices: d and d + 16 share an int64 cell key (``device * 2^60``
+#: wraps) — an alias every engine must reproduce identically.
+ALIASING_DEVICES = (0, 1, 16, 17)
 
 
 @pytest.fixture(scope="module", params=["intel_purley", "intel_whitley", "k920"])
@@ -144,3 +151,121 @@ def test_empty_store_builds_empty_sample_set(purley_sim):
     samples = pipeline.build_samples(empty, "none", campaign_end_hour=100.0)
     assert len(samples) == 0
     assert samples.X.shape == (0, len(pipeline.feature_names()))
+
+
+def _config(i: int) -> DimmConfigRecord:
+    return DimmConfigRecord(
+        dimm_id=f"d{i}",
+        server_id=f"s{i % 2}",
+        platform="synthetic",
+        manufacturer=("m0", "m1")[i % 2],
+        part_number=f"p{i}",
+        capacity_gb=32,
+        data_width=4,
+        frequency_mts=2933,
+        chip_process="1y",
+    )
+
+
+def _ce(i, t, bank, row, column, devices, **bits) -> CERecord:
+    fields = dict(dq_count=2, beat_count=3, dq_interval=1, beat_interval=4)
+    fields.update(bits)
+    return CERecord(
+        timestamp_hours=t, server_id=f"s{i % 2}", dimm_id=f"d{i}", rank=0,
+        bank=bank, row=row, column=column, devices=devices,
+        error_bit_count=fields["dq_count"] * fields["beat_count"], **fields,
+    )
+
+
+@st.composite
+def fleet_records(draw):
+    """A few DIMMs' CEs on a coarse grid, often revisiting a cell on
+    another (possibly aliasing) device."""
+    records = []
+    for i in range(draw(st.integers(1, 3))):
+        cells = []
+        ticks = draw(st.lists(st.integers(0, 480), min_size=1, max_size=14))
+        for tick in sorted(ticks):
+            if cells and draw(st.booleans()):
+                bank, row, column = draw(st.sampled_from(cells))
+            else:
+                bank = draw(st.integers(0, 3))
+                row = draw(st.integers(0, 7))
+                column = draw(st.integers(0, 7))
+                cells.append((bank, row, column))
+            device = draw(st.sampled_from(ALIASING_DEVICES))
+            records.append(
+                _ce(
+                    i, tick * 0.5, bank, row, column,
+                    tuple(range(device, device + draw(st.integers(1, 2)))),
+                    dq_count=draw(st.integers(1, 4)),
+                    beat_count=draw(st.integers(1, 8)),
+                    beat_interval=draw(st.integers(0, 8)),
+                )
+            )
+    return records
+
+
+def _three_engines(records, extra_ts=(0.25, 1e6)):
+    """Feature matrices of transform_fleet, transform_batch and
+    transform_one over every DIMM's CE instants (+ offsets)."""
+    store = LogStore()
+    for i in range(3):
+        store.add_config(_config(i))
+    store.extend(records)
+    pipeline = FeaturePipeline()
+    pipeline.fit(store)
+    fleet = store.fleet_arrays()
+    ts_parts, seg_parts, batch_parts, one_rows = [], [], [], []
+    for i, dimm_id in enumerate(fleet.dimm_ids):
+        times = fleet.times[fleet.ce_offsets[i] : fleet.ce_offsets[i + 1]]
+        ts = np.sort(np.concatenate([times, times + extra_ts[0], extra_ts[1:]]))
+        ts_parts.append(ts)
+        seg_parts.append(np.full(ts.size, i, dtype=np.int64))
+        history = DimmHistory.from_records(
+            dimm_id, store.ces_for_dimm(dimm_id), store.events_for_dimm(dimm_id)
+        )
+        config = store.config_for(dimm_id)
+        batch_parts.append(pipeline.transform_batch(history, config, ts))
+        one_rows.extend(
+            pipeline.transform_one(history, config, float(t)) for t in ts
+        )
+    fleet_X = pipeline.transform_fleet(
+        fleet,
+        [store.config_for(d) for d in fleet.dimm_ids],
+        np.concatenate(ts_parts),
+        np.concatenate(seg_parts),
+    )
+    return pipeline, fleet_X, np.vstack(batch_parts), np.vstack(one_rows)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(records=fleet_records())
+def test_fleet_windows_match_batch_and_per_sample(records):
+    _, fleet_X, batch_X, one_X = _three_engines(records)
+    assert np.array_equal(fleet_X, batch_X)
+    assert np.array_equal(fleet_X, one_X)
+
+
+@pytest.mark.parametrize(
+    "second_device, max_cell", [(1, 1.0), (17, 1.0), (16, 2.0)]
+)
+def test_cell_key_aliases_devices_16_apart(second_device, max_cell):
+    """Pins a known bug: the int64 cell key wraps at ``device * 2^60``, so
+    CEs on the same bank/row/column of devices 0 and 16 count as one cell
+    in every engine.  Fixing it changes this expectation."""
+    records = [
+        _ce(0, 1.0, 2, 5, 7, (0,)),
+        _ce(0, 2.0, 2, 5, 7, (second_device,)),
+    ]
+    pipeline, fleet_X, batch_X, one_X = _three_engines(records, (0.0,))
+    names = pipeline.feature_names()
+    cell = names.index("spatial_max_ces_one_cell")
+    fault = names.index("spatial_cell_fault")
+    for X in (fleet_X, batch_X, one_X):  # last row: the second CE's hour
+        assert X[-1, cell] == max_cell
+        assert X[-1, fault] == float(max_cell >= 2)

@@ -34,6 +34,11 @@ from repro.telemetry.records import (
 GRID_HOURS = 0.25
 MAX_TICK = 240  # 60 hours of campaign
 
+#: Primary devices: d and d + 16 share an int64 cell key (``device * 2^60``
+#: wraps), so two CEs on the same bank/row/column of devices 0 and 16 land
+#: in one cell — an alias every engine must reproduce identically.
+ALIASING_DEVICES = (0, 1, 16, 17)
+
 EVENT_KINDS = (
     MemEventKind.CE_STORM,
     MemEventKind.CE_SUPPRESSED,
@@ -79,17 +84,30 @@ def stream_case(draw):
                 )
             )
         )
+        cells = []
         for tick in ticks:
+            # Often revisit an earlier CE's cell, on any device, so cell
+            # repeats and device-aliased cells are common.
+            if cells and draw(st.booleans()):
+                bank, row, column = draw(st.sampled_from(cells))
+            else:
+                bank = draw(st.integers(0, 3))
+                row = draw(st.integers(0, 7))
+                column = draw(st.integers(0, 7))
+                cells.append((bank, row, column))
+            device = draw(st.sampled_from(ALIASING_DEVICES))
             records.append(
                 CERecord(
                     timestamp_hours=tick * GRID_HOURS,
                     server_id=server,
                     dimm_id=dimm,
                     rank=draw(st.integers(0, 1)),
-                    bank=draw(st.integers(0, 3)),
-                    row=draw(st.integers(0, 7)),
-                    column=draw(st.integers(0, 7)),
-                    devices=tuple(range(draw(st.integers(1, 2)))),
+                    bank=bank,
+                    row=row,
+                    column=column,
+                    devices=tuple(
+                        range(device, device + draw(st.integers(1, 2)))
+                    ),
                     dq_count=draw(st.integers(1, 4)),
                     beat_count=draw(st.integers(1, 8)),
                     dq_interval=draw(st.integers(0, 4)),
