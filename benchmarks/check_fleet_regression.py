@@ -1,10 +1,12 @@
 """CI gate: fail when the fleet engine's speedup regresses > tolerance.
 
 Compares a freshly measured ``pipeline_throughput_fleet_smoke.json``
-against the committed baseline.  The gate diffs the fleet-vs-batch
+against the committed baseline.  The gate diffs the fleet-vs-per_sample
 *speedup ratio* (not absolute seconds): both engines run on the same
 machine in the same process, so the ratio is robust to runner hardware
-while still catching real regressions in the fleet pass.
+while still catching real regressions in the fleet pass.  The per-sample
+``transform_one`` reference is the denominator because it is the one
+other ``build_samples`` engine.
 
 Usage::
 
@@ -32,8 +34,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    baseline = json.loads(args.baseline.read_text())["fleet_vs_batch"]
-    fresh = json.loads(args.fresh.read_text())["fleet_vs_batch"]
+    baseline = json.loads(args.baseline.read_text())["fleet_vs_per_sample"]
+    fresh = json.loads(args.fresh.read_text())["fleet_vs_per_sample"]
     if baseline.get("scale") != fresh.get("scale"):
         print(
             f"scale mismatch: baseline {baseline.get('scale')} vs "

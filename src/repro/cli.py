@@ -126,7 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine", choices=ENGINE_CHOICES, default=None,
-        help="feature-extraction engine (default: fleet)",
+        help="feature-extraction engine: fleet (one batched cross-DIMM "
+        "pass, the default) or per_sample (the transform_one reference)",
     )
     run.add_argument(
         "--workers", type=int, default=None,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 #: Engines accepted by ``build_samples`` (mirrored here so the spec module
 #: stays import-free; validated for real against the pipeline at run time).
-ENGINE_CHOICES = ("fleet", "batch", "per_sample")
+ENGINE_CHOICES = ("fleet", "per_sample")
 
 _DEFAULT_PLATFORMS = ("intel_purley", "intel_whitley", "k920")
 _DEFAULT_MODELS = ("risky_ce_pattern", "random_forest", "lightgbm")

@@ -27,7 +27,6 @@ from repro.features.temporal import TemporalExtractor
 from repro.features.windows import (
     SUB_WINDOWS_HOURS,
     AppendableDimmHistory,
-    BatchWindows,
     DimmHistory,
     FleetWindows,
     as_dimm_history,
@@ -35,7 +34,6 @@ from repro.features.windows import (
 
 __all__ = [
     "AppendableDimmHistory",
-    "BatchWindows",
     "BitLevelExtractor",
     "DimmHistory",
     "ENGINES",

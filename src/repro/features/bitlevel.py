@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.windows import EPS, BatchWindows, DimmHistory
+from repro.features.windows import EPS, DimmHistory, FleetWindows
 
 
 class BitLevelExtractor:
@@ -68,21 +68,15 @@ class BitLevelExtractor:
             float(error_bits.max()),
         ]
 
-    def compute_batch(
-        self,
-        history: DimmHistory,
-        ts: np.ndarray,
-        windows: BatchWindows | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`compute` for a batch of sample times.
+    def compute_batch(self, windows: FleetWindows) -> np.ndarray:
+        """Vectorized :meth:`compute` for every sample of ``windows``.
 
         The bit-level columns are tiny non-negative integers, so each
         window's histogram is one dense ``bincount`` over the flattened
         (sample, CE) pairs — max and mode both fall out of it — and the
         conditional counts are weighted bincounts over the same pairs.
         """
-        if windows is None:
-            windows = BatchWindows(history, ts)
+        history = windows.history
         n = windows.ts.size
         out = np.zeros((n, len(self.names())), dtype=float)
         sizes = windows.counts(self.observation_hours)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.features.windows import EPS, BatchWindows, DimmHistory
+from repro.features.windows import EPS, DimmHistory, FleetWindows
 
 
 class SpatialExtractor:
@@ -107,23 +107,16 @@ class SpatialExtractor:
         ]
 
 
-    def compute_batch(
-        self,
-        history: DimmHistory,
-        ts: np.ndarray,
-        windows: BatchWindows | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`compute` for a batch of sample times.
+    def compute_batch(self, windows: FleetWindows) -> np.ndarray:
+        """Vectorized :meth:`compute` for every sample of ``windows``.
 
         Windows are flattened into (sample, CE) pairs — overlapping windows
         duplicate members, but every group statistic then reduces to sorted
         run-length segments, with no per-sample Python loops.  The keys are
-        ranked once per history (:meth:`BatchWindows.spatial_ranks`), so
+        ranked once per history (:meth:`FleetWindows.spatial_ranks`), so
         each side — and the cells — is one ``np.sort`` of packed
         ``sample * n + rank`` int64 keys.
         """
-        if windows is None:
-            windows = BatchWindows(history, ts)
         n = windows.ts.size
         out = np.zeros((n, len(self.names())), dtype=float)
         lo = windows.lo(self.observation_hours)

@@ -7,8 +7,8 @@ import numpy as np
 from repro.features.windows import (
     EPS,
     SUB_WINDOWS_HOURS,
-    BatchWindows,
     DimmHistory,
+    FleetWindows,
 )
 
 
@@ -86,19 +86,12 @@ class TemporalExtractor:
             acceleration,
         ]
 
-    def compute_batch(
-        self,
-        history: DimmHistory,
-        ts: np.ndarray,
-        windows: BatchWindows | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`compute` for a batch of sample times."""
-        if windows is None:
-            windows = BatchWindows(history, ts)
+    def compute_batch(self, windows: FleetWindows) -> np.ndarray:
+        """Vectorized :meth:`compute` for every sample of ``windows``."""
         ts = windows.ts
         n = ts.size
         observation = self.observation_hours
-        times = history.times
+        times = windows.history.times
         windows.prefetch(SUB_WINDOWS_HOURS + (observation, 24.0))
         hi = windows.hi
         lo_obs = windows.lo(observation)
@@ -147,8 +140,8 @@ class TemporalExtractor:
         out[:, base + 5] = min_gap
         out[:, base + 6] = max_hourly
         # Storm / repair event counts resolve through the windows object so
-        # the same code serves per-DIMM (plain searchsorted) and fleet
-        # (segment-aware) extraction.
+        # the same code serves the offline fleet pass (``t + EPS`` bounds)
+        # and replay (arrival-exact bounds, precomputed per query).
         storm_5d, storm_total = windows.storm_counts(observation)
         out[:, base + 7] = storm_5d
         out[:, base + 8] = storm_total
@@ -158,7 +151,7 @@ class TemporalExtractor:
 
 
 def _min_gap_batch(
-    windows: BatchWindows, observation: float, sizes: np.ndarray
+    windows: FleetWindows, observation: float, sizes: np.ndarray
 ) -> np.ndarray:
     """Min inter-arrival gap inside each sample's observation window.
 

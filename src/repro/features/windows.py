@@ -6,11 +6,12 @@ arrays so each slice is two binary searches.
 
 Three batch-era companions live here as well:
 
-* :class:`BatchWindows` precomputes, once per (history, sample-times) pair,
-  the window boundary indices every extractor needs — one
-  ``np.searchsorted`` of all sample times per distinct boundary array —
-  so the vectorized ``compute_batch`` paths replace per-sample slicing
-  with cumulative-sum / segment aggregations over shared indices.
+* :class:`FleetWindows` precomputes, once per batch of (DIMM, sample-time)
+  pairs over a whole fleet's concatenated histories, the window boundary
+  indices every extractor needs — one fleet-wide segmented search per
+  distinct boundary array — so the vectorized ``compute_batch`` paths
+  replace per-sample slicing with cumulative-sum / segment aggregations
+  over shared indices.
 * :class:`SpatialRanks` ranks the spatial extractor's DRAM-hierarchy keys
   once per history, so a batch of windows needs one sort of packed
   ``(sample, rank)`` integer keys per hierarchy side.
@@ -153,38 +154,53 @@ def as_dimm_history(history) -> DimmHistory:
     return view() if callable(view) else history
 
 
-class BatchWindows:
-    """Shared precomputed window indices for a batch of sample times.
+class FleetWindows:
+    """Shared window indices for a batch of samples over a whole fleet.
 
-    Every extractor's ``compute_batch`` works off the same ``(lo, hi)``
-    index pairs into ``history.times``: ``hi`` is computed once, and the
-    ``lo`` for each distinct window length is computed on first use and
-    cached, so the whole feature layer issues one ``np.searchsorted`` per
-    boundary array instead of two per (sample, window) pair.
+    ``fleet`` is a :class:`repro.telemetry.columnar.FleetArrays` — every
+    DIMM's history concatenated into ragged arrays — and sample ``i``
+    belongs to DIMM segment ``sample_seg[i]``.  Every extractor's
+    ``compute_batch`` works off the same *global* ``(lo, hi)`` index pairs
+    into the concatenated arrays: ``hi`` is resolved once, and the ``lo``
+    for each distinct window length on first use (cached), each by one
+    fleet-wide :func:`segmented_searchsorted`.  Window members never cross
+    segment boundaries, so the (sample, CE)-pair aggregations run once
+    over the whole fleet, bit-for-bit equal to per-sample ``compute``.
     """
 
-    def __init__(self, history: DimmHistory, ts: np.ndarray):
-        self.history = history
+    def __init__(
+        self, fleet: FleetArrays, ts: np.ndarray, sample_seg: np.ndarray
+    ):
+        self.history = fleet
         self.ts = np.asarray(ts, dtype=float)
+        self.sample_seg = np.asarray(sample_seg, dtype=np.int64)
         #: Window end bound (``t + EPS``), shared by every window length.
         self.ends = self.ts + EPS
-        self.hi = np.searchsorted(history.times, self.ends, side="left")
+        self._base = fleet.ce_offsets[self.sample_seg]
+        self.hi = self._resolve(self.ends)
         self._lo: dict[float, np.ndarray] = {}
         self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _resolve(self, boundaries: np.ndarray) -> np.ndarray:
+        within = segmented_searchsorted(
+            self.history.times,
+            self.history.ce_offsets,
+            boundaries,
+            self.sample_seg,
+        )
+        return within + self._base
 
     def lo(self, window_hours: float) -> np.ndarray:
         """Start indices of the ``[t - w, t + EPS)`` windows (cached)."""
         key = float(window_hours)
         lo = self._lo.get(key)
         if lo is None:
-            lo = np.searchsorted(
-                self.history.times, self.ts - key, side="left"
-            )
+            lo = self._resolve(self.ts - key)
             self._lo[key] = lo
         return lo
 
     def prefetch(self, windows_hours) -> None:
-        """Resolve several window lengths with one fused ``searchsorted``."""
+        """Resolve several window lengths with one fused segmented search."""
         missing = [
             w for w in dict.fromkeys(map(float, windows_hours))
             if w not in self._lo
@@ -192,10 +208,13 @@ class BatchWindows:
         if not missing:
             return
         boundaries = np.concatenate([self.ts - w for w in missing])
-        found = np.searchsorted(self.history.times, boundaries, side="left")
+        segments = np.tile(self.sample_seg, len(missing))
+        found = segmented_searchsorted(
+            self.history.times, self.history.ce_offsets, boundaries, segments
+        )
         n = self.ts.size
         for j, w in enumerate(missing):
-            self._lo[w] = found[j * n : (j + 1) * n]
+            self._lo[w] = found[j * n : (j + 1) * n] + self._base
 
     def counts(self, window_hours: float) -> np.ndarray:
         """CE counts in ``[t - w, t + EPS)`` per sample."""
@@ -231,14 +250,15 @@ class BatchWindows:
             self._pairs[key] = cached
         return cached
 
-    # -- history context hooks (overridden segment-aware by FleetWindows) --
+    # -- history context hooks (served from cached tables by PrefixWindows) --
 
     def gap_array(self) -> np.ndarray:
         """Inter-arrival gaps of ``history.times`` with an ``inf`` sentinel.
 
-        Derived purely from the (immutable) history, so replay kernels
-        override this to serve one cached copy instead of re-deriving it
-        for every micro-batch.
+        Cross-segment gaps are never read: a window's last member is
+        masked.  Derived purely from the (immutable) history, so replay
+        kernels serve one cached copy instead of re-deriving it for every
+        micro-batch.
         """
         return np.append(np.diff(self.history.times), np.inf)
 
@@ -254,103 +274,6 @@ class BatchWindows:
 
     def since_first(self, observation_hours: float) -> np.ndarray:
         """Hours between each sample time and its DIMM's first CE."""
-        times = self.history.times
-        if times.size:
-            return self.ts - times[0]
-        return np.full(self.ts.size, float(observation_hours))
-
-    def storm_counts(
-        self, observation_hours: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-sample CE-storm counts in ``[t - w, t + EPS)`` and ``[0, t + EPS)``."""
-        storm_times = self.history.storm_times
-        n = self.ts.size
-        if not storm_times.size:
-            return np.zeros(n), np.zeros(n)
-        bounds = np.searchsorted(
-            storm_times,
-            np.concatenate([self.ends, self.ts - observation_hours]),
-            side="left",
-        )
-        lo0 = int(np.searchsorted(storm_times, 0.0, side="left"))
-        return bounds[:n] - bounds[n:], bounds[:n] - lo0
-
-    def repair_counts(self, observation_hours: float) -> np.ndarray:
-        """Per-sample repair-action counts in ``[t - w, t + EPS)``."""
-        repair_times = self.history.repair_times
-        n = self.ts.size
-        if not repair_times.size:
-            return np.zeros(n)
-        bounds = np.searchsorted(
-            repair_times,
-            np.concatenate([self.ends, self.ts - observation_hours]),
-            side="left",
-        )
-        return bounds[:n] - bounds[n:]
-
-
-class FleetWindows(BatchWindows):
-    """Segment-aware :class:`BatchWindows` over a whole fleet at once.
-
-    ``fleet`` is a :class:`repro.telemetry.columnar.FleetArrays` — every
-    DIMM's history concatenated into ragged arrays — and sample ``i``
-    belongs to DIMM segment ``sample_seg[i]``.  Window indices are *global*
-    (into the concatenated arrays), and every boundary resolution happens
-    in one fleet-wide :func:`segmented_searchsorted` instead of two
-    ``np.searchsorted`` calls per DIMM.  Because window members never cross
-    segment boundaries, the inherited aggregation machinery (``counts`` /
-    ``expand`` / ``pairs`` and the extractors' segment reductions keyed by
-    sample id) runs unchanged — once — over the whole fleet, bit-for-bit
-    equal to the per-DIMM passes it fuses.
-    """
-
-    def __init__(
-        self, fleet: FleetArrays, ts: np.ndarray, sample_seg: np.ndarray
-    ):
-        self.history = fleet
-        self.ts = np.asarray(ts, dtype=float)
-        self.sample_seg = np.asarray(sample_seg, dtype=np.int64)
-        self.ends = self.ts + EPS
-        self._base = fleet.ce_offsets[self.sample_seg]
-        self.hi = self._resolve(self.ends)
-        self._lo: dict[float, np.ndarray] = {}
-        self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _resolve(self, boundaries: np.ndarray) -> np.ndarray:
-        within = segmented_searchsorted(
-            self.history.times,
-            self.history.ce_offsets,
-            boundaries,
-            self.sample_seg,
-        )
-        return within + self._base
-
-    def lo(self, window_hours: float) -> np.ndarray:
-        key = float(window_hours)
-        lo = self._lo.get(key)
-        if lo is None:
-            lo = self._resolve(self.ts - key)
-            self._lo[key] = lo
-        return lo
-
-    def prefetch(self, windows_hours) -> None:
-        """Resolve several window lengths with one fused segmented search."""
-        missing = [
-            w for w in dict.fromkeys(map(float, windows_hours))
-            if w not in self._lo
-        ]
-        if not missing:
-            return
-        boundaries = np.concatenate([self.ts - w for w in missing])
-        segments = np.tile(self.sample_seg, len(missing))
-        found = segmented_searchsorted(
-            self.history.times, self.history.ce_offsets, boundaries, segments
-        )
-        n = self.ts.size
-        for j, w in enumerate(missing):
-            self._lo[w] = found[j * n : (j + 1) * n] + self._base
-
-    def since_first(self, observation_hours: float) -> np.ndarray:
         fleet = self.history
         counts = np.diff(fleet.ce_offsets)
         if fleet.times.size:
@@ -367,6 +290,7 @@ class FleetWindows(BatchWindows):
     def storm_counts(
         self, observation_hours: float
     ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-sample CE-storm counts in ``[t - w, t + EPS)`` and ``[0, t + EPS)``."""
         return self._event_counts(
             self.history.storm_times,
             self.history.storm_offsets,
@@ -375,23 +299,13 @@ class FleetWindows(BatchWindows):
         )
 
     def repair_counts(self, observation_hours: float) -> np.ndarray:
+        """Per-sample repair-action counts in ``[t - w, t + EPS)``."""
         return self._event_counts(
             self.history.repair_times,
             self.history.repair_offsets,
             observation_hours,
             with_total=False,
         )
-
-    @property
-    def event_ends(self) -> np.ndarray:
-        """Upper bound for storm/repair window queries.
-
-        The offline pass counts events in ``[t - w, t + EPS)``; the replay
-        kernels override this to ``t`` (arrival-exact: an event logged at
-        exactly ``t`` sorts *after* the CE in stream order, so the
-        per-event state has not seen it yet when the CE is served).
-        """
-        return self.ends
 
     def _event_counts(
         self,
@@ -403,7 +317,7 @@ class FleetWindows(BatchWindows):
         n = self.ts.size
         if not times.size:
             return (np.zeros(n), np.zeros(n)) if with_total else np.zeros(n)
-        queries = np.concatenate([self.event_ends, self.ts - observation_hours])
+        queries = np.concatenate([self.ends, self.ts - observation_hours])
         segments = np.tile(self.sample_seg, 2)
         bounds = segmented_searchsorted(times, offsets, queries, segments)
         hi, lo = bounds[:n], bounds[n:]

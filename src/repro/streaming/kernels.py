@@ -46,8 +46,9 @@ strictly before it, and the fitted (static) environment index.
   only its own (sample, CE) pairs.
 * **Arrival-exact storm/repair bounds** — a storm or repair logged at
   exactly ``t`` sorts *after* the CE (tie order), so the per-event state
-  has not seen it when the CE is served; :class:`PrefixWindows` therefore
-  bounds event-count queries at ``t`` instead of the offline ``t + EPS``.
+  has not seen it when the CE is served; the kernel therefore bounds
+  event-count queries at ``t`` instead of the offline ``t + EPS`` and
+  hands the counts to each :class:`PrefixWindows`.
 * **Fallback** — queries the columnar form cannot express (none arise on
   a well-formed stream) are recomputed through the exact per-event
   reference (:meth:`ReplayKernel.reference_for_query` —
@@ -66,7 +67,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.features.windows import (
-    EPS,
     SUB_WINDOWS_HOURS,
     DimmHistory,
     FleetWindows,
@@ -93,15 +93,20 @@ DEFAULT_CHUNK_PAIRS = 2_000_000
 
 
 class PrefixWindows(FleetWindows):
-    """:class:`FleetWindows` with caller-supplied (prefix-exact) ``hi``.
+    """:class:`FleetWindows` over one replay flush, served from the
+    kernel's fleet-wide tables.
 
     The offline fleet pass derives ``hi`` from ``searchsorted(t + EPS)``;
     replay needs the *arrival prefix* instead — the query CE's stream
     position + 1 within its segment — so same-timestamp CEs that arrive
     later are excluded exactly as the per-event state excludes them.
-    Storm/repair count queries are likewise bounded at ``t`` (see
-    :attr:`event_ends`); everything else (window starts, pair expansion)
-    is inherited unchanged.
+    :class:`ReplayKernel` resolves everything else once for all queries
+    and hands each flush its slice: window starts (``lo_tables``),
+    arrival-exact storm/repair counts (events at exactly ``t`` sort after
+    the CE, so they are bounded at ``t``, not ``t + EPS``), hours since
+    first CE, and the history-invariant gap array, multi-device prefix
+    counts and spatial ranks.  Only the pair expansion and the
+    extractors' aggregations run per flush.
     """
 
     def __init__(
@@ -111,26 +116,20 @@ class PrefixWindows(FleetWindows):
         sample_seg: np.ndarray,
         hi: np.ndarray,
         *,
-        lo_tables: dict[float, np.ndarray] | None = None,
-        storm_counts: tuple[np.ndarray, np.ndarray] | None = None,
-        repair_counts: np.ndarray | None = None,
-        since_first: np.ndarray | None = None,
-        gaps: np.ndarray | None = None,
-        multi_prefix: np.ndarray | None = None,
-        spatial_ranks: SpatialRanks | None = None,
+        lo_tables: dict[float, np.ndarray],
+        storm_counts: tuple[np.ndarray, np.ndarray],
+        repair_counts: np.ndarray,
+        since_first: np.ndarray,
+        gaps: np.ndarray,
+        multi_prefix: np.ndarray,
+        spatial_ranks: SpatialRanks,
     ):
         self.history = fleet
         self.ts = np.asarray(ts, dtype=float)
         self.sample_seg = np.asarray(sample_seg, dtype=np.int64)
-        self.ends = self.ts + EPS
         self._base = fleet.ce_offsets[self.sample_seg]
         self.hi = np.asarray(hi, dtype=np.int64)
-        # Pre-resolved boundary tables (one fleet-wide segmented search at
-        # kernel build) — per-chunk queries then reduce to array gathers.
-        # Any window length not seeded falls back to the inherited resolve.
-        self._lo: dict[float, np.ndarray] = (
-            dict(lo_tables) if lo_tables else {}
-        )
+        self._lo = dict(lo_tables)
         self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
         self._storm_counts = storm_counts
         self._repair_counts = repair_counts
@@ -140,42 +139,24 @@ class PrefixWindows(FleetWindows):
         self._spatial_ranks = spatial_ranks
 
     def gap_array(self) -> np.ndarray:
-        if self._gaps is not None:
-            return self._gaps
-        return super().gap_array()
+        return self._gaps
 
     def multi_device_prefix(self) -> np.ndarray:
-        if self._multi_prefix is not None:
-            return self._multi_prefix
-        return super().multi_device_prefix()
+        return self._multi_prefix
 
     def spatial_ranks(self) -> SpatialRanks:
-        if self._spatial_ranks is not None:
-            return self._spatial_ranks
-        return super().spatial_ranks()
-
-    @property
-    def event_ends(self) -> np.ndarray:
-        # Arrival-exact: an event at exactly t sorts after the CE, so the
-        # per-event state serves without it — count strictly-before only.
-        return self.ts
+        return self._spatial_ranks
 
     def storm_counts(
         self, observation_hours: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        if self._storm_counts is not None:
-            return self._storm_counts
-        return super().storm_counts(observation_hours)
+        return self._storm_counts
 
     def repair_counts(self, observation_hours: float) -> np.ndarray:
-        if self._repair_counts is not None:
-            return self._repair_counts
-        return super().repair_counts(observation_hours)
+        return self._repair_counts
 
     def since_first(self, observation_hours: float) -> np.ndarray:
-        if self._since_first is not None:
-            return self._since_first
-        return super().since_first(observation_hours)
+        return self._since_first
 
 
 class ReplayKernel:
@@ -513,7 +494,7 @@ class ReplayKernel:
             self._lo_all = {w: empty for w in lengths}
 
         # Arrival-exact storm / repair counts (events at exactly t have not
-        # arrived when the CE is served — see PrefixWindows.event_ends).
+        # arrived when the CE is served — bounded at t, not t + EPS).
         observation = pipeline.temporal.observation_hours
 
         def event_counts(times, offsets, with_total):
@@ -604,18 +585,11 @@ class ReplayKernel:
                 multi_prefix=self._multi_prefix,
                 spatial_ranks=self._spatial_ranks,
             )
-            temporal = pipeline.temporal.compute_batch(
-                self.fleet, windows.ts, windows
-            )
             out[sl] = np.hstack(
                 [
-                    temporal,
-                    pipeline.spatial.compute_batch(
-                        self.fleet, windows.ts, windows
-                    ),
-                    pipeline.bitlevel.compute_batch(
-                        self.fleet, windows.ts, windows
-                    ),
+                    pipeline.temporal.compute_batch(windows),
+                    pipeline.spatial.compute_batch(windows),
+                    pipeline.bitlevel.compute_batch(windows),
                     self._env_rows_all[rows_sl],
                     self._static_rows[q_seg[sl]],
                 ]

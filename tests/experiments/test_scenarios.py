@@ -1,6 +1,7 @@
 """Scenario runs: transfer-matrix parity, pooled/mixed smoke, spec handling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -228,12 +229,12 @@ class TestSpec:
     def test_override_round_trip(self):
         spec = RunSpec().with_overrides(
             ["scale=0.1", "models=lightgbm,random_forest", "workers=4",
-             "engine=batch", "seed=11"]
+             "engine=per_sample", "seed=11"]
         )
         assert spec.scale == 0.1
         assert spec.models == ("lightgbm", "random_forest")
         assert spec.workers == 4
-        assert spec.engine == "batch"
+        assert spec.engine == "per_sample"
         restored = RunSpec.from_dict(spec.to_dict())
         assert restored == spec
 
@@ -250,8 +251,13 @@ class TestSpec:
             RunSpec().with_overrides(["frobnicate=1"])
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="engine"):
-            RunSpec(engine="warp").validate()
+        # Unknown and retired ("batch") engine names both fail loudly.
+        for engine in ("warp", "batch"):
+            with pytest.raises(
+                ValueError,
+                match=re.escape(f"{engine!r} not in ('fleet', 'per_sample')"),
+            ):
+                RunSpec(engine=engine).validate()
         with pytest.raises(ValueError, match="positive"):
             RunSpec(scale=0.0).validate()
         with pytest.raises(ValueError, match="duplicates"):

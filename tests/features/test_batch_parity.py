@@ -1,18 +1,25 @@
 """Train/serve parity of the vectorized feature-extraction engine.
 
-The batched ``compute_batch`` paths, the per-sample ``compute`` reference
-paths, and the online-serving path over an incrementally grown
-:class:`AppendableDimmHistory` must all produce bit-for-bit identical
-feature values — this is the train/serve-consistency guarantee the paper's
-feature store is built around.
+The batched fleet path (:meth:`FeaturePipeline.transform_fleet` and each
+extractor's ``compute_batch`` over :class:`FleetWindows`), the per-sample
+``compute`` / ``transform_one`` reference paths, and the online-serving
+path over an incrementally grown :class:`AppendableDimmHistory` must all
+produce bit-for-bit identical feature values — this is the
+train/serve-consistency guarantee the paper's feature store is built
+around.
 """
 
 import numpy as np
 import pytest
 
 from repro.features.pipeline import FeaturePipeline
-from repro.features.windows import AppendableDimmHistory, DimmHistory
+from repro.features.windows import (
+    AppendableDimmHistory,
+    DimmHistory,
+    FleetWindows,
+)
 from repro.mlops.feature_store import FeatureStore
+from repro.telemetry.columnar import FleetArrays
 from repro.telemetry.records import CERecord, MemEventKind, MemEventRecord
 
 
@@ -21,6 +28,11 @@ def fitted(purley_sim):
     pipeline = FeaturePipeline()
     pipeline.fit(purley_sim.store)
     return pipeline
+
+
+@pytest.fixture(scope="module")
+def fleet(purley_sim):
+    return purley_sim.store.fleet_arrays()
 
 
 def _history(store, dimm_id):
@@ -36,15 +48,47 @@ def _sample_times(history):
     )
 
 
+def _one_dimm_fleet(history: DimmHistory) -> FleetArrays:
+    """A one-segment :class:`FleetArrays` over ``history``'s arrays."""
+    def offsets(array):
+        return np.array([0, array.size], dtype=np.int64)
+
+    return FleetArrays(
+        dimm_ids=[history.dimm_id],
+        server_ids=[history.server_id],
+        times=history.times,
+        dq_count=history.dq_count,
+        beat_count=history.beat_count,
+        dq_interval=history.dq_interval,
+        beat_interval=history.beat_interval,
+        n_devices=history.n_devices,
+        error_bits=history.error_bits,
+        rows=history.rows,
+        columns=history.columns,
+        banks=history.banks,
+        devices=history.devices,
+        ce_offsets=offsets(history.times),
+        storm_times=history.storm_times,
+        storm_offsets=offsets(history.storm_times),
+        repair_times=history.repair_times,
+        repair_offsets=offsets(history.repair_times),
+        ue_hours=np.full(1, np.nan),
+    )
+
+
 class TestBatchMatchesPerSample:
-    def test_full_pipeline_bit_for_bit(self, purley_sim, fitted):
+    def test_full_pipeline_bit_for_bit(self, purley_sim, fitted, fleet):
+        """A one-DIMM fleet pass == transform_one, sample by sample."""
         store = purley_sim.store
         checked = 0
-        for dimm_id in store.dimm_ids_with_ces()[:25]:
+        for i, dimm_id in enumerate(fleet.dimm_ids[:25]):
             history = _history(store, dimm_id)
             config = store.config_for(dimm_id)
             ts = _sample_times(history)
-            batch = fitted.transform_batch(history, config, ts)
+            batch = fitted.transform_fleet(
+                fleet.shard(i, i + 1), [config], ts,
+                np.zeros(ts.size, dtype=np.int64),
+            )
             reference = np.vstack(
                 [fitted.transform_one(history, config, float(t)) for t in ts]
             )
@@ -52,54 +96,33 @@ class TestBatchMatchesPerSample:
             checked += ts.size
         assert checked > 0
 
-    def test_each_extractor_matches(self, purley_sim, fitted):
-        store = purley_sim.store
-        dimm_id = store.dimm_ids_with_ces()[0]
-        history = _history(store, dimm_id)
+    def test_each_extractor_matches(self, purley_sim, fitted, fleet):
+        dimm_id = fleet.dimm_ids[0]
+        history = _history(purley_sim.store, dimm_id)
         ts = _sample_times(history)
         for extractor in (fitted.temporal, fitted.spatial, fitted.bitlevel):
-            batch = extractor.compute_batch(history, ts)
+            windows = FleetWindows(
+                fleet.shard(0, 1), ts, np.zeros(ts.size, dtype=np.int64)
+            )
+            batch = extractor.compute_batch(windows)
             reference = np.vstack(
                 [extractor.compute(history, float(t)) for t in ts]
             )
             assert np.array_equal(batch, reference), extractor.group
 
-    def test_empty_history(self, fitted, purley_sim):
-        store = purley_sim.store
-        dimm_id = store.dimm_ids_with_ces()[0]
-        config = store.config_for(dimm_id)
-        empty = DimmHistory.from_records("empty", [], [])
-        ts = np.array([10.0, 500.0])
-        batch = fitted.transform_batch(empty, config, ts)
-        reference = np.vstack(
-            [fitted.transform_one(empty, config, float(t)) for t in ts]
+    def test_empty_ts(self, purley_sim, fitted, fleet):
+        config = purley_sim.store.config_for(fleet.dimm_ids[0])
+        out = fitted.transform_fleet(
+            fleet.shard(0, 1), [config], np.empty(0),
+            np.empty(0, dtype=np.int64),
         )
-        assert np.array_equal(batch, reference)
-
-    def test_empty_ts(self, fitted, purley_sim):
-        store = purley_sim.store
-        dimm_id = store.dimm_ids_with_ces()[0]
-        history = _history(store, dimm_id)
-        config = store.config_for(dimm_id)
-        out = fitted.transform_batch(history, config, np.empty(0))
         assert out.shape == (0, len(fitted.feature_names()))
-
-    def test_build_samples_batch_equals_per_sample(self, purley_sim, fitted):
-        store = purley_sim.store
-        batch = fitted.build_samples(store, "intel_purley",
-                                     purley_sim.duration_hours)
-        reference = fitted.build_samples(store, "intel_purley",
-                                         purley_sim.duration_hours,
-                                         use_batch=False)
-        assert np.array_equal(batch.X, reference.X)
-        assert np.array_equal(batch.y, reference.y)
-        assert np.array_equal(batch.times, reference.times)
-        assert list(batch.dimm_ids) == list(reference.dimm_ids)
 
 
 class TestOnlineServingParity:
     def test_appendable_matches_batch_row(self, purley_sim, fitted):
-        """Streaming state == from_records == batch row, at every instant."""
+        """Streaming state == from_records == fleet-pass row, at every
+        instant."""
         store = purley_sim.store
         feature_store = FeatureStore(fitted)
         checked = 0
@@ -124,8 +147,9 @@ class TestOnlineServingParity:
                     dimm_id, seen_ces, seen_events
                 )
                 reference = fitted.transform_one(rebuilt, config, t)
-                batch_row = fitted.transform_batch(
-                    rebuilt, config, np.array([t])
+                batch_row = fitted.transform_fleet(
+                    _one_dimm_fleet(rebuilt), [config], np.array([t]),
+                    np.zeros(1, dtype=np.int64),
                 )[0]
                 assert np.array_equal(online, reference)
                 assert np.array_equal(online, batch_row)

@@ -1,11 +1,13 @@
 """Parity of the cross-DIMM fleet extraction engine.
 
 The fleet pass (one :class:`FleetWindows` over every DIMM's concatenated
-history), the per-DIMM batch path (:meth:`transform_batch`), the per-sample
-reference (:meth:`transform_one`) and the sharded parallel build must all
-produce bit-for-bit identical feature matrices and sample sets — across all
-three simulated platforms.
+history), one-DIMM fleet passes, the per-sample reference
+(:meth:`transform_one`) and the sharded parallel build must all produce
+bit-for-bit identical feature matrices and sample sets — across all three
+simulated platforms.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.features.pipeline import FeaturePipeline
 from repro.features.windows import DimmHistory
+from repro.obs import Observability
 from repro.telemetry.log_store import LogStore
 from repro.telemetry.records import CERecord, DimmConfigRecord
 
@@ -37,12 +40,15 @@ def fitted(platform_sim):
 
 class TestFleetMatrixParity:
     def test_transform_fleet_equals_per_dimm_batch(self, platform_sim, fitted):
-        """Fleet rows == concatenated per-DIMM transform_batch blocks."""
+        """Fleet rows == concatenated one-DIMM fleet-pass blocks: window
+        members never leak across DIMM segments."""
         _, sim = platform_sim
         store = sim.store
         fleet = store.fleet_arrays()
+        n_checked = min(40, fleet.n_dimms)
+        configs = [store.config_for(d) for d in fleet.dimm_ids[:n_checked]]
         ts_parts, seg_parts, reference_parts = [], [], []
-        for i, dimm_id in enumerate(fleet.dimm_ids[:40]):
+        for i in range(n_checked):
             lo, hi = fleet.ce_offsets[i], fleet.ce_offsets[i + 1]
             times = fleet.times[lo:hi]
             # CE instants, off-CE instants, and out-of-range extremes.
@@ -50,19 +56,14 @@ class TestFleetMatrixParity:
             ts.sort()
             ts_parts.append(ts)
             seg_parts.append(np.full(ts.size, i, dtype=np.int64))
-            history = DimmHistory.from_records(
-                dimm_id,
-                store.ces_for_dimm(dimm_id),
-                store.events_for_dimm(dimm_id),
-            )
             reference_parts.append(
-                fitted.transform_batch(history, store.config_for(dimm_id), ts)
+                fitted.transform_fleet(
+                    fleet.shard(i, i + 1), configs[i : i + 1], ts,
+                    np.zeros(ts.size, dtype=np.int64),
+                )
             )
-        n_checked = len(ts_parts)
-        shard = fleet.shard(0, n_checked)
-        configs = [store.config_for(d) for d in fleet.dimm_ids[:n_checked]]
         fleet_X = fitted.transform_fleet(
-            shard,
+            fleet.shard(0, n_checked),
             configs,
             np.concatenate(ts_parts),
             np.concatenate(seg_parts),
@@ -103,23 +104,19 @@ class TestFleetMatrixParity:
 
 
 class TestBuildSamplesParity:
-    def test_fleet_equals_batch_equals_per_sample(self, platform_sim, fitted):
+    def test_fleet_equals_per_sample(self, platform_sim, fitted):
         name, sim = platform_sim
         store = sim.store
         fleet = fitted.build_samples(
             store, name, sim.duration_hours, engine="fleet"
         )
-        batch = fitted.build_samples(
-            store, name, sim.duration_hours, engine="batch"
-        )
         reference = fitted.build_samples(
             store, name, sim.duration_hours, engine="per_sample"
         )
-        for other in (batch, reference):
-            assert np.array_equal(fleet.X, other.X)
-            assert np.array_equal(fleet.y, other.y)
-            assert np.array_equal(fleet.times, other.times)
-            assert list(fleet.dimm_ids) == list(other.dimm_ids)
+        assert np.array_equal(fleet.X, reference.X)
+        assert np.array_equal(fleet.y, reference.y)
+        assert np.array_equal(fleet.times, reference.times)
+        assert list(fleet.dimm_ids) == list(reference.dimm_ids)
         assert len(fleet) > 0
 
     def test_sharded_build_is_bit_identical(self, platform_sim, fitted):
@@ -139,9 +136,29 @@ class TestBuildSamplesParity:
             assert list(serial.dimm_ids) == list(sharded.dimm_ids)
 
     def test_unknown_engine_rejected(self, platform_sim, fitted):
+        """Unknown and retired engine names (``"batch"``) fail loudly."""
         name, sim = platform_sim
-        with pytest.raises(ValueError, match="unknown engine"):
-            fitted.build_samples(sim.store, name, engine="warp")
+        for engine in ("warp", "batch"):
+            with pytest.raises(
+                ValueError,
+                match=re.escape(f"unknown engine {engine!r}; expected "
+                                "('fleet', 'per_sample')"),
+            ):
+                fitted.build_samples(sim.store, name, engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["fleet", "per_sample"])
+def test_final_heartbeat_reports_the_finished_build(purley_sim, engine):
+    pipeline = FeaturePipeline()
+    pipeline.fit(purley_sim.store)
+    obs = Observability()
+    samples = pipeline.build_samples(
+        purley_sim.store, "intel_purley", purley_sim.duration_hours,
+        engine=engine, obs=obs, heartbeat_every=7,
+    )
+    last = obs.progress.last("build_samples")["fields"]
+    assert last["fraction"] == 1.0
+    assert last["samples"] == len(samples) > 0
 
 
 def test_empty_store_builds_empty_sample_set(purley_sim):
@@ -207,8 +224,8 @@ def fleet_records(draw):
 
 
 def _three_engines(records, extra_ts=(0.25, 1e6)):
-    """Feature matrices of transform_fleet, transform_batch and
-    transform_one over every DIMM's CE instants (+ offsets)."""
+    """Feature matrices of one fleet pass, per-DIMM (one-segment) fleet
+    passes and transform_one over every DIMM's CE instants (+ offsets)."""
     store = LogStore()
     for i in range(3):
         store.add_config(_config(i))
@@ -216,6 +233,7 @@ def _three_engines(records, extra_ts=(0.25, 1e6)):
     pipeline = FeaturePipeline()
     pipeline.fit(store)
     fleet = store.fleet_arrays()
+    configs = [store.config_for(d) for d in fleet.dimm_ids]
     ts_parts, seg_parts, batch_parts, one_rows = [], [], [], []
     for i, dimm_id in enumerate(fleet.dimm_ids):
         times = fleet.times[fleet.ce_offsets[i] : fleet.ce_offsets[i + 1]]
@@ -225,14 +243,18 @@ def _three_engines(records, extra_ts=(0.25, 1e6)):
         history = DimmHistory.from_records(
             dimm_id, store.ces_for_dimm(dimm_id), store.events_for_dimm(dimm_id)
         )
-        config = store.config_for(dimm_id)
-        batch_parts.append(pipeline.transform_batch(history, config, ts))
+        batch_parts.append(
+            pipeline.transform_fleet(
+                fleet.shard(i, i + 1), configs[i : i + 1], ts,
+                np.zeros(ts.size, dtype=np.int64),
+            )
+        )
         one_rows.extend(
-            pipeline.transform_one(history, config, float(t)) for t in ts
+            pipeline.transform_one(history, configs[i], float(t)) for t in ts
         )
     fleet_X = pipeline.transform_fleet(
         fleet,
-        [store.config_for(d) for d in fleet.dimm_ids],
+        configs,
         np.concatenate(ts_parts),
         np.concatenate(seg_parts),
     )
