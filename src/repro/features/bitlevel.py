@@ -10,7 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.windows import EPS, DimmHistory, FleetWindows
+from repro.features.windows import (
+    EPS,
+    DimmHistory,
+    FleetWindows,
+    prefix_sum,
+    range_reduce,
+)
 
 
 class BitLevelExtractor:
@@ -71,55 +77,46 @@ class BitLevelExtractor:
     def compute_batch(self, windows: FleetWindows) -> np.ndarray:
         """Vectorized :meth:`compute` for every sample of ``windows``.
 
-        The bit-level columns are tiny non-negative integers, so each
-        window's histogram is one dense ``bincount`` over the flattened
-        (sample, CE) pairs — max and mode both fall out of it — and the
-        conditional counts are weighted bincounts over the same pairs.
+        No window is expanded into its members: maxima come from a sparse
+        table (:func:`range_reduce`), modes from one prefix count per
+        distinct value, and the conditional counts and the error-bit sum
+        from prefix sums — each a gather at the window ends.
         """
         history = windows.history
         n = windows.ts.size
         out = np.zeros((n, len(self.names())), dtype=float)
-        sizes = windows.counts(self.observation_hours)
+        lo = windows.lo(self.observation_hours)
+        hi = windows.hi
+        sizes = hi - lo
         nonempty = sizes > 0
         if not nonempty.any():
             return out
-        sid, idx = windows.pairs(self.observation_hours)
+        dq = history.dq_count
+        beats = history.beat_count
+        beat_iv = history.beat_interval
+        err = history.error_bits
 
-        # Gather each column to pair level once; the histogram and every
-        # conditional count reuse the same gathered arrays.
-        dq = history.dq_count[idx]
-        beats = history.beat_count[idx]
-        beat_iv = history.beat_interval[idx]
-        err = history.error_bits[idx]
-
-        maxima, modes = _max_and_mode(
-            sid,
-            (dq, beats, history.dq_interval[idx], beat_iv, err),
-            n,
-        )
-        out[:, 0], out[:, 1] = maxima[0], modes[0]
-        out[:, 2], out[:, 3] = maxima[1], modes[1]
-        out[:, 4] = maxima[2]
-        out[:, 5], out[:, 6] = maxima[3], modes[3]
-        out[:, 12] = maxima[4]
+        for j, values in (
+            (0, dq), (2, beats), (4, history.dq_interval), (5, beat_iv),
+            (12, err),
+        ):
+            out[:, j] = range_reduce(np.maximum, values, lo, hi)
+        for j, values in ((1, dq), (3, beats), (6, beat_iv)):
+            out[:, j] = _window_mode(values, lo, hi)
 
         def window_sum(values: np.ndarray) -> np.ndarray:
-            return np.bincount(sid, weights=values, minlength=n)
+            prefix = prefix_sum(values)
+            return prefix[hi] - prefix[lo]
 
         out[:, 7] = window_sum((dq == 2) & (beat_iv == 4))
         out[:, 8] = window_sum((dq == 4) & (beats >= 5))
         out[:, 9] = window_sum(dq >= 3)
-        out[:, 10] = window_sum(history.n_devices[idx] >= 2)
-        # Error-bit counts are integer-valued, so the weighted-bincount sum
+        out[:, 10] = window_sum(history.n_devices >= 2)
+        # Error-bit counts are integer-valued, so the prefix-sum difference
         # is exact and the mean matches the per-sample path bit-for-bit.
         out[:, 11] = np.divide(
-            window_sum(err),
-            sizes,
-            out=np.zeros(n),
-            where=nonempty,
+            window_sum(err), sizes, out=np.zeros(n), where=nonempty
         )
-
-        out[~nonempty] = 0.0
         return out
 
 
@@ -130,34 +127,21 @@ def _mode(values: np.ndarray) -> float:
     return float(unique[best].max())
 
 
-def _max_and_mode(
-    sid: np.ndarray, value_columns: tuple[np.ndarray, ...], n: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-window max and mode (ties toward the larger value), per column.
+def _window_mode(
+    values: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Per-window :func:`_mode` of ``values[lo:hi]`` (0 where empty).
 
-    Every column holds small non-negative integers stored as floats, so one
-    fused dense (sample, value) histogram — all columns side by side in a
-    single ``bincount`` — answers both statistics for all of them.  Rows of
-    empty windows report garbage; callers zero them out wholesale.
+    One prefix count per distinct value; visiting values in ascending
+    order and keeping ties breaks them toward the larger value.
     """
-    codes = [column.astype(np.int64) for column in value_columns]
-    cardinalities = [
-        int(column.max()) + 1 if column.size else 1 for column in codes
-    ]
-    total = sum(cardinalities)
-    base = sid * total
-    fused = np.empty(len(codes) * sid.size, dtype=np.int64)
-    offset = 0
-    offsets = []
-    for j, column in enumerate(codes):
-        offsets.append(offset)
-        fused[j * sid.size : (j + 1) * sid.size] = base + offset + column
-        offset += cardinalities[j]
-    histogram = np.bincount(fused, minlength=n * total).reshape(n, total)
-
-    maxima, modes = [], []
-    for offset, cardinality in zip(offsets, cardinalities):
-        counts = histogram[:, offset : offset + cardinality][:, ::-1]
-        maxima.append((cardinality - 1 - np.argmax(counts > 0, axis=1)).astype(float))
-        modes.append((cardinality - 1 - np.argmax(counts, axis=1)).astype(float))
-    return maxima, modes
+    mode = np.zeros(lo.size)
+    best = np.ones(lo.size, dtype=np.int64)
+    prefix = np.zeros(values.size + 1, dtype=np.int64)
+    for value in np.unique(values):
+        np.cumsum(values == value, out=prefix[1:])
+        count = prefix[hi] - prefix[lo]
+        wins = count >= best
+        mode[wins] = value
+        best[wins] = count[wins]
+    return mode

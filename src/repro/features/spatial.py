@@ -4,11 +4,17 @@ analysis)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.features.windows import EPS, DimmHistory, FleetWindows
+from repro.features.windows import (
+    EPS,
+    DimmHistory,
+    FleetWindows,
+    WindowChain,
+    prefix_sum,
+    previous_same,
+    witnessed,
+)
 
 
 class SpatialExtractor:
@@ -110,61 +116,105 @@ class SpatialExtractor:
     def compute_batch(self, windows: FleetWindows) -> np.ndarray:
         """Vectorized :meth:`compute` for every sample of ``windows``.
 
-        Windows are flattened into (sample, CE) pairs — overlapping windows
-        duplicate members, but every group statistic then reduces to sorted
-        run-length segments, with no per-sample Python loops.  The keys are
-        ranked once per history (:meth:`FleetWindows.spatial_ranks`), so
-        each side — and the cells — is one ``np.sort`` of packed
-        ``sample * n + rank`` int64 keys.
+        No window is expanded into its members.  Each statistic rides a
+        per-CE quantity of the history — the previous CE on the same key,
+        or the latest window start at which the CE still completes a
+        fault — so a window's answer is a gather at its ends
+        (:class:`WindowChain`, :func:`witnessed`).
         """
-        n = windows.ts.size
-        out = np.zeros((n, len(self.names())), dtype=float)
+        if self.min_distinct > 2:
+            raise ValueError(
+                f"compute_batch supports min_distinct <= 2, got "
+                f"{self.min_distinct}"
+            )
+        history = windows.history
+        out = np.zeros((windows.ts.size, len(self.names())))
         lo = windows.lo(self.observation_hours)
         hi = windows.hi
-        sid, idx = windows.pairs(self.observation_hours)
-        if sid.size == 0:
+        if not np.any(hi > lo):
             return out
-        ranks = windows.spatial_ranks()
+        chain = WindowChain(lo, hi, history.times.size)
 
-        # Row-rank order is also (device, bank) order (three-level keys are
-        # wrap-free), so the row side yields the distinct bank / device
-        # counts without separate sorts.
-        row_side = _line_side(
-            sid, ranks.row_pair[idx], ranks.row_line, ranks.row_bank,
-            ranks.row_device, self.line_threshold, self.min_distinct, n,
-        )
-        column_side = _line_side(
-            sid, ranks.column_pair[idx], ranks.column_line, ranks.column_bank,
-            None, self.line_threshold, self.min_distinct, n,
-        )
-        cells = np.sort(sid * ranks.n_cells + ranks.cell[idx])
-        cell_starts = np.flatnonzero(_run_starts(cells))
-        max_cell = _max_per_sample(
-            cells[cell_starts] // ranks.n_cells,
-            np.diff(np.append(cell_starts, cells.size)),
-            n,
-        )
+        # The keys compute builds with _compose, 2^20 per level.
+        devices = history.devices.astype(np.int64)
+        bank_keys = devices * 1_048_576 + history.banks
+        row_keys = bank_keys * 1_048_576 + history.rows
+        column_keys = bank_keys * 1_048_576 + history.columns
+        # Known bug, kept for parity with the per-sample reference: the
+        # 4-level cell key is device * 2^60 + ..., which wraps int64, so
+        # devices d and d + 16 (same bank, row and column) alias into one
+        # cell and inflate spatial_max_ces_one_cell / spatial_cell_fault.
+        cell_keys = row_keys * 1_048_576 + history.columns
 
-        out[:, 0] = row_side.distinct_lines
-        out[:, 1] = column_side.distinct_lines
-        out[:, 2] = row_side.distinct_banks
-        out[:, 3] = row_side.distinct_devices
+        row_prev, row_fault = self._line_faults(row_keys, history.columns)
+        column_prev, column_fault = self._line_faults(
+            column_keys, history.rows
+        )
+        bank_order, bank_prev = previous_same(bank_keys)
+        max_cell = chain.max_count(previous_same(cell_keys)[1])
+
+        out[:, 0] = chain.distinct(row_prev)
+        out[:, 1] = chain.distinct(column_prev)
+        out[:, 2] = chain.distinct(bank_prev)
+        out[:, 3] = chain.distinct(previous_same(devices)[1])
         out[:, 4] = max_cell
-        out[:, 5] = row_side.max_line
-        out[:, 6] = column_side.max_line
-        out[:, 7] = (max_cell >= self.cell_threshold).astype(float)
-        out[:, 8] = row_side.has_fault
-        out[:, 9] = column_side.has_fault
-        # Bank fault: some (device, bank) hosts both a row and a column fault.
-        if row_side.fault_pairs.size and column_side.fault_pairs.size:
-            shared = np.intersect1d(
-                row_side.fault_pairs, column_side.fault_pairs
-            )
-            out[shared >> 32, 10] = 1.0
-
-        multi_cum = windows.multi_device_prefix()
-        out[:, 11] = ((multi_cum[hi] - multi_cum[lo]) > 0).astype(float)
+        out[:, 5] = chain.max_count(row_prev)
+        out[:, 6] = chain.max_count(column_prev)
+        out[:, 7] = max_cell >= self.cell_threshold
+        out[:, 8] = witnessed(row_fault, lo, hi)
+        out[:, 9] = witnessed(column_fault, lo, hi)
+        # Bank fault: some (device, bank) hosts both a row and a column
+        # fault — each side's witness, carried forward within the bank.
+        out[:, 10] = witnessed(
+            np.minimum(
+                _running_max(row_fault, bank_order, bank_prev),
+                _running_max(column_fault, bank_order, bank_prev),
+            ),
+            lo,
+            hi,
+        )
+        multi = prefix_sum(history.n_devices >= 2)
+        out[:, 11] = multi[hi] > multi[lo]
         return out
+
+    def _line_faults(
+        self, line_keys: np.ndarray, cross: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Previous same-line CE, and the fault witness of each CE.
+
+        A window shows a fault on CE ``i``'s line, ending at ``i``, iff it
+        starts at or before both the ``line_threshold``-th latest CE of the
+        line and (for ``min_distinct`` 2) the latest line CE with another
+        cross coordinate — the one just before ``i``'s run of equal cross
+        coordinates in line order.
+        """
+        order, prev = previous_same(line_keys)
+        witness = np.arange(line_keys.size)
+        for _ in range(self.line_threshold - 1):
+            witness = np.where(witness >= 0, prev[witness], -1)
+        if self.min_distinct >= 2:
+            line_start = prev[order] < 0
+            run_start = line_start.copy()
+            sorted_cross = cross[order]
+            run_start[1:] |= sorted_cross[1:] != sorted_cross[:-1]
+            first = np.maximum.accumulate(
+                np.where(run_start, np.arange(order.size), 0)
+            )
+            other = np.empty_like(witness)
+            other[order] = np.where(line_start[first], -1, order[first - 1])
+            witness = np.minimum(witness, other)
+        return prev, witness
+
+
+def _running_max(
+    values: np.ndarray, order: np.ndarray, prev: np.ndarray
+) -> np.ndarray:
+    """Running max of ``values`` over each CE's own key, in history order
+    (``order`` / ``prev`` from :func:`previous_same`)."""
+    shift = np.cumsum(prev[order] < 0) * (values.size + 1)
+    out = np.empty_like(values)
+    out[order] = np.maximum.accumulate(values[order] + shift) - shift
+    return out
 
 
 def _compose(*arrays: np.ndarray) -> np.ndarray:
@@ -180,108 +230,3 @@ def _max_group_count(keys: np.ndarray) -> int:
         return 0
     _, counts = np.unique(keys, return_counts=True)
     return int(counts.max())
-
-
-def _run_starts(values: np.ndarray) -> np.ndarray:
-    """Boolean mask of run starts in a sorted array."""
-    starts = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=starts[1:])
-    return starts
-
-
-def _max_per_sample(
-    samples: np.ndarray, values: np.ndarray, n: int
-) -> np.ndarray:
-    """Per-sample max of ``values`` (``samples`` sorted; absent -> 0)."""
-    firsts = np.flatnonzero(_run_starts(samples))
-    result = np.zeros(n)
-    result[samples[firsts]] = np.maximum.reduceat(values, firsts)
-    return result
-
-
-@dataclass
-class _LineSideStats:
-    """Everything one hierarchy side yields from a single sort."""
-
-    distinct_lines: np.ndarray
-    max_line: np.ndarray
-    has_fault: np.ndarray
-    fault_pairs: np.ndarray
-    distinct_banks: np.ndarray | None = None
-    distinct_devices: np.ndarray | None = None
-
-
-def _line_side(
-    sid: np.ndarray,
-    pair: np.ndarray,
-    line_of: np.ndarray,
-    bank_of: np.ndarray,
-    device_of: np.ndarray | None,
-    line_threshold: int,
-    min_distinct: int,
-    n: int,
-) -> _LineSideStats:
-    """Per-sample statistics of one hierarchy side (rows or columns).
-
-    ``pair`` holds each (sample, CE) pair's (line, cross) rank; the
-    ``*_of`` tables map a pair rank to its line rank, bank key and device.
-    A line is faulty when it has >= ``line_threshold`` CEs across >=
-    ``min_distinct`` distinct cross coordinates.  Line ranks follow the
-    (device, bank)-prefixed key order, so the sorted groups are also
-    grouped by bank and (when ``device_of`` is given) by device, and the
-    distinct bank / device counts ride along for free.
-    """
-    n_pairs = line_of.size
-    keys = np.sort(sid * n_pairs + pair)
-    s = keys // n_pairs
-    p = keys - s * n_pairs
-    line = line_of[p]
-
-    cross_start = _run_starts(keys)
-    group_start = _run_starts(s)
-    group_start[1:] |= line[1:] != line[:-1]
-
-    gid = np.cumsum(group_start) - 1
-    distinct_cross = np.bincount(gid[cross_start])
-    starts = np.flatnonzero(group_start)
-    group_counts = np.diff(np.append(starts, keys.size))
-    group_sample = s[starts]
-    group_pair = p[starts]
-
-    distinct_lines = np.bincount(group_sample, minlength=n).astype(float)
-    max_line = _max_per_sample(group_sample, group_counts.astype(float), n)
-
-    has_fault = np.zeros(n)
-    faulty = (group_counts >= line_threshold) & (distinct_cross >= min_distinct)
-    if faulty.any():
-        has_fault[group_sample[faulty]] = 1.0
-        # Bank keys are two compose levels (< 2^25), so (sample << 32) |
-        # bank is collision-free in int64.
-        pairs = (group_sample[faulty] << 32) + bank_of[group_pair[faulty]]
-    else:
-        pairs = np.empty(0, dtype=np.int64)
-
-    stats = _LineSideStats(
-        distinct_lines=distinct_lines,
-        max_line=max_line,
-        has_fault=has_fault,
-        fault_pairs=pairs,
-    )
-    if device_of is not None:
-        sample_start = _run_starts(group_sample)
-        stats.distinct_banks = _distinct_per_sample(
-            group_sample, sample_start, bank_of[group_pair], n
-        )
-        stats.distinct_devices = _distinct_per_sample(
-            group_sample, sample_start, device_of[group_pair], n
-        )
-    return stats
-
-
-def _distinct_per_sample(
-    samples: np.ndarray, sample_start: np.ndarray, values: np.ndarray, n: int
-) -> np.ndarray:
-    """Distinct ``values`` per sample, ``values`` sorted within each sample."""
-    start = sample_start.copy()
-    start[1:] |= values[1:] != values[:-1]
-    return np.bincount(samples[start], minlength=n).astype(float)

@@ -9,6 +9,7 @@ from repro.features.windows import (
     SUB_WINDOWS_HOURS,
     DimmHistory,
     FleetWindows,
+    range_reduce,
 )
 
 
@@ -120,8 +121,11 @@ class TemporalExtractor:
         mean_gap = np.where(
             multi, span / np.maximum(sizes - 1, 1), observation
         )
+        # min(diff(times[lo:hi])) is the min of gaps[lo : hi - 1].
         min_gap = np.where(
-            multi, _min_gap_batch(windows, observation, sizes), observation
+            multi,
+            range_reduce(np.minimum, np.diff(times), lo_obs, hi - 1),
+            observation,
         )
 
         max_hourly = _max_hourly_batch(times, ts, windows.pairs(24.0))
@@ -150,31 +154,6 @@ class TemporalExtractor:
         return out
 
 
-def _min_gap_batch(
-    windows: FleetWindows, observation: float, sizes: np.ndarray
-) -> np.ndarray:
-    """Min inter-arrival gap inside each sample's observation window.
-
-    ``min(diff(times[lo:hi]))`` is the min of ``gaps[lo : hi - 1]``: one
-    ``minimum.reduceat`` over the window's own (sample, CE) pairs — the
-    ones spatial and bit-level share — with each window's last member
-    masked to ``inf``.  Windows with fewer than two CEs come out ``inf``
-    (or 0 when empty); callers mask them.
-    """
-    result = np.zeros(sizes.size)
-    _, idx = windows.pairs(observation)
-    if not idx.size:
-        return result
-    pair_gaps = windows.gap_array()[idx]
-    ends = np.cumsum(sizes)
-    nonempty = sizes > 0
-    pair_gaps[ends[nonempty] - 1] = np.inf
-    result[nonempty] = np.minimum.reduceat(
-        pair_gaps, (ends - sizes)[nonempty]
-    )
-    return result
-
-
 def _max_hourly_batch(
     times: np.ndarray,
     ts: np.ndarray,
@@ -183,17 +162,23 @@ def _max_hourly_batch(
     """Max CEs in any single hour of each sample's trailing day.
 
     Uses the same ``floor(time - (t - 24))`` bucketisation as the
-    per-sample path over the flattened (sample, CE) pairs; one dense
-    (sample, hour-bucket) histogram yields every sample's answer.
+    per-sample path over the flattened (sample, CE) pairs.  Each window's
+    members run in time order, so ``sample * 25 + bucket`` never decreases
+    and every hour bucket is one run of equal keys.
     """
     sid, idx = day_pairs
+    result = np.zeros(ts.size)
     if sid.size == 0:
-        return np.zeros(ts.size)
+        return result
     buckets = np.floor(times[idx] - (ts[sid] - 24.0)).astype(np.int64)
-    histogram = np.bincount(
-        sid * 25 + buckets, minlength=ts.size * 25  # bucket range is [0, 24]
-    ).reshape(ts.size, 25)
-    return histogram.max(axis=1).astype(float)
+    keys = sid * 25 + buckets  # bucket range is [0, 24]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    owners = sid[starts]
+    firsts = np.flatnonzero(np.diff(owners, prepend=-1))
+    result[owners[firsts]] = np.maximum.reduceat(
+        np.diff(starts, append=keys.size), firsts
+    )
+    return result
 
 
 def _window_tag(hours: float) -> str:

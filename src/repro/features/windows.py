@@ -4,17 +4,17 @@ The feature extractors slice a DIMM's CE/event history by time window many
 times per sample; :class:`DimmHistory` stores everything as sorted numpy
 arrays so each slice is two binary searches.
 
-Three batch-era companions live here as well:
+Alongside it:
 
-* :class:`FleetWindows` precomputes, once per batch of (DIMM, sample-time)
-  pairs over a whole fleet's concatenated histories, the window boundary
-  indices every extractor needs — one fleet-wide segmented search per
-  distinct boundary array — so the vectorized ``compute_batch`` paths
-  replace per-sample slicing with cumulative-sum / segment aggregations
-  over shared indices.
-* :class:`SpatialRanks` ranks the spatial extractor's DRAM-hierarchy keys
-  once per history, so a batch of windows needs one sort of packed
-  ``(sample, rank)`` integer keys per hierarchy side.
+* :class:`FleetWindows` resolves, once per batch of (DIMM, sample-time)
+  pairs over a whole fleet's concatenated histories, the global ``[lo,
+  hi)`` window bounds every extractor needs — one fleet-wide segmented
+  search per distinct window length.
+* The pair-free window kernels — :func:`prefix_sum`,
+  :func:`range_reduce`, :func:`witnessed` and :class:`WindowChain` --
+  turn per-window statistics into per-CE quantities of the history plus
+  O(1) gathers per window, so the vectorized ``compute_batch`` paths
+  never expand a window into its members.
 * :class:`AppendableDimmHistory` grows amortised-O(1) per record (doubling
   buffers) and hands out zero-copy :class:`DimmHistory` views, so streaming
   consumers stop rebuilding every array from raw records on each CE.
@@ -155,17 +155,17 @@ def as_dimm_history(history) -> DimmHistory:
 
 
 class FleetWindows:
-    """Shared window indices for a batch of samples over a whole fleet.
+    """Shared window bounds for a batch of samples over a whole fleet.
 
     ``fleet`` is a :class:`repro.telemetry.columnar.FleetArrays` — every
     DIMM's history concatenated into ragged arrays — and sample ``i``
     belongs to DIMM segment ``sample_seg[i]``.  Every extractor's
-    ``compute_batch`` works off the same *global* ``(lo, hi)`` index pairs
-    into the concatenated arrays: ``hi`` is resolved once, and the ``lo``
-    for each distinct window length on first use (cached), each by one
+    ``compute_batch`` works off the same *global* ``[lo, hi)`` bounds into
+    the concatenated arrays: ``hi`` is resolved once, and the ``lo`` for
+    each distinct window length on first use (cached), each by one
     fleet-wide :func:`segmented_searchsorted`.  Window members never cross
-    segment boundaries, so the (sample, CE)-pair aggregations run once
-    over the whole fleet, bit-for-bit equal to per-sample ``compute``.
+    segment boundaries, so statistics over the global bounds are bit-for-bit
+    per-sample ``compute``; samples may come in any order.
     """
 
     def __init__(
@@ -179,7 +179,6 @@ class FleetWindows:
         self._base = fleet.ce_offsets[self.sample_seg]
         self.hi = self._resolve(self.ends)
         self._lo: dict[float, np.ndarray] = {}
-        self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def _resolve(self, boundaries: np.ndarray) -> np.ndarray:
         within = segmented_searchsorted(
@@ -220,57 +219,19 @@ class FleetWindows:
         """CE counts in ``[t - w, t + EPS)`` per sample."""
         return self.hi - self.lo(window_hours)
 
-    def expand(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flatten windows into parallel ``(sample_id, ce_index)`` arrays.
+    def pairs(self, window_hours: float) -> tuple[np.ndarray, np.ndarray]:
+        """The ``[t - w, t + EPS)`` windows flattened into parallel
+        ``(sample_id, ce_index)`` arrays.
 
-        Sample ids come out sorted, so each sample's window members form a
-        contiguous segment — the layout the segment aggregations rely on.
+        Sample ids come out sorted and each sample's members in history
+        order, so every window is one contiguous run.
         """
-        sizes = hi - lo
-        total = int(sizes.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
+        lo = self.lo(window_hours)
+        sizes = self.hi - lo
         sample_ids = np.repeat(np.arange(sizes.size), sizes)
         starts = np.cumsum(sizes) - sizes
-        offsets = np.arange(total) - np.repeat(starts, sizes)
-        return sample_ids, np.repeat(lo, sizes) + offsets
-
-    def pairs(self, window_hours: float) -> tuple[np.ndarray, np.ndarray]:
-        """Cached :meth:`expand` of the ``[t - w, t + EPS)`` windows.
-
-        The spatial and bit-level extractors work on the same observation
-        window, so the flattened (sample, CE) pairs are built once and
-        shared.
-        """
-        key = float(window_hours)
-        cached = self._pairs.get(key)
-        if cached is None:
-            cached = self.expand(self.lo(key), self.hi)
-            self._pairs[key] = cached
-        return cached
-
-    # -- history context hooks (served from cached tables by PrefixWindows) --
-
-    def gap_array(self) -> np.ndarray:
-        """Inter-arrival gaps of ``history.times`` with an ``inf`` sentinel.
-
-        Cross-segment gaps are never read: a window's last member is
-        masked.  Derived purely from the (immutable) history, so replay
-        kernels serve one cached copy instead of re-deriving it for every
-        micro-batch.
-        """
-        return np.append(np.diff(self.history.times), np.inf)
-
-    def multi_device_prefix(self) -> np.ndarray:
-        """Prefix counts of multi-device CEs (cacheable like
-        :meth:`gap_array`)."""
-        return prefix_sum(self.history.n_devices >= 2)
-
-    def spatial_ranks(self) -> "SpatialRanks":
-        """Dense ranks of the history's spatial keys (cacheable like
-        :meth:`gap_array`)."""
-        return SpatialRanks.of(self.history)
+        members = np.arange(sample_ids.size) - np.repeat(starts - lo, sizes)
+        return sample_ids, members
 
     def since_first(self, observation_hours: float) -> np.ndarray:
         """Hours between each sample time and its DIMM's first CE."""
@@ -332,89 +293,140 @@ class FleetWindows:
         return hi - lo, hi - lo0[self.sample_seg]
 
 
-@dataclass(frozen=True)
-class SpatialRanks:
-    """The spatial extractor's DRAM-hierarchy keys, ranked once per history.
-
-    Each hierarchy side pairs a *line* key (``(device, bank, row)`` for the
-    row side, ``(device, bank, column)`` for the column side) with a
-    *cross* coordinate (the raw column, resp. row).  ``row_pair`` /
-    ``column_pair`` give each CE the dense, order-preserving rank of its
-    (line key, cross) pair, so a batch of windows sorts one int64
-    ``sample * n_pairs + pair`` key per side; the ``*_line`` / ``*_bank`` /
-    ``*_device`` tables map a pair rank back to its line-key rank, its
-    ``(device, bank)`` key and its device.  ``cell`` ranks the 4-level
-    cell key.
-    """
-
-    row_pair: np.ndarray
-    row_line: np.ndarray
-    row_bank: np.ndarray
-    row_device: np.ndarray
-    column_pair: np.ndarray
-    column_line: np.ndarray
-    column_bank: np.ndarray
-    cell: np.ndarray
-    n_cells: int
-
-    @classmethod
-    def of(cls, history) -> "SpatialRanks":
-        devices = history.devices.astype(np.int64)
-        # The keys SpatialExtractor.compute builds with _compose, 2^20 per
-        # level, one multiply per level.
-        bank_keys = devices * 1_048_576 + history.banks
-        row_keys = bank_keys * 1_048_576 + history.rows
-        column_keys = bank_keys * 1_048_576 + history.columns
-        # Known bug, kept for parity with the per-sample reference: the
-        # 4-level cell key is device * 2^60 + ..., which wraps int64, so
-        # devices d and d + 16 (same bank, row and column) alias into one
-        # cell and inflate spatial_max_ces_one_cell / spatial_cell_fault.
-        # Ranking the wrapped value keeps the alias; fixing it changes
-        # feature values in every engine at once.
-        cell_keys = row_keys * 1_048_576 + history.columns
-        cell_values, cell = np.unique(cell_keys, return_inverse=True)
-
-        row_pair, row_line = _pair_ranks(row_keys, history.columns)
-        column_pair, column_line = _pair_ranks(column_keys, history.rows)
-        return cls(
-            row_pair=row_pair,
-            row_line=row_line,
-            row_bank=_scatter(row_pair, row_line.size, bank_keys),
-            row_device=_scatter(row_pair, row_line.size, devices),
-            column_pair=column_pair,
-            column_line=column_line,
-            column_bank=_scatter(column_pair, column_line.size, bank_keys),
-            cell=cell,
-            n_cells=int(cell_values.size),
-        )
-
-
-def _pair_ranks(
-    line_keys: np.ndarray, cross: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-item dense rank of ``(line key, cross)`` in lexicographic order,
-    and the pair-rank -> line-key-rank table."""
-    _, line = np.unique(line_keys, return_inverse=True)
-    cross_values, cross_rank = np.unique(cross, return_inverse=True)
-    width = max(cross_values.size, 1)
-    pair_keys, pair = np.unique(
-        line * width + cross_rank, return_inverse=True
-    )
-    return pair, pair_keys // width
-
-
-def _scatter(index: np.ndarray, size: int, values: np.ndarray) -> np.ndarray:
-    """``table[index[i]] = values[i]`` (values agree within each index)."""
-    table = np.empty(size, dtype=np.int64)
-    table[index] = values
-    return table
-
-
 def prefix_sum(values: np.ndarray) -> np.ndarray:
     """Length ``n + 1`` cumulative sum; window sums become two gathers."""
     out = np.zeros(values.size + 1, dtype=float)
     np.cumsum(values, out=out[1:])
     return out
+
+
+def range_reduce(
+    ufunc: np.ufunc, values: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """``ufunc.reduce(values[lo:hi])`` per window (0 where empty).
+
+    A sparse table: level ``k`` holds the reduction of every run of
+    ``2^k`` values, so any window is the reduction of the two (possibly
+    overlapping) runs that start at ``lo`` and end at ``hi``.  Exact for
+    an idempotent ``ufunc`` such as ``np.maximum`` / ``np.minimum``.
+    """
+    sizes = np.maximum(hi - lo, 0)
+    out = np.zeros(sizes.size, dtype=values.dtype)
+    nonempty = np.flatnonzero(sizes)
+    if not nonempty.size:
+        return out
+    level = np.frexp(sizes[nonempty].astype(float))[1] - 1  # floor(log2)
+    n = values.size
+    table = np.empty((int(level.max()) + 1, n), dtype=values.dtype)
+    table[0] = values
+    for k in range(1, table.shape[0]):
+        half = 1 << (k - 1)
+        ufunc(table[k - 1, : n - 2 * half + 1],
+              table[k - 1, half : n - half + 1],
+              out=table[k, : n - 2 * half + 1])
+    out[nonempty] = ufunc(
+        table[level, lo[nonempty]], table[level, hi[nonempty] - (1 << level)]
+    )
+    return out
+
+
+def previous_same(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable key order, and each item's previous same-key position (-1:
+    none)."""
+    order = np.argsort(keys, kind="stable")
+    same = keys[order[1:]] == keys[order[:-1]]
+    prev = np.full(keys.size, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    return order, prev
+
+
+def witnessed(first: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per window: does some member ``i`` have ``first[i] >= lo``?
+
+    ``first[i] <= i`` is the latest window start from which member ``i``
+    still completes a pattern (-1: never).  Members before ``lo`` cannot
+    reach ``lo``, so a prefix max over ``[0, hi)`` answers every window.
+    """
+    if not first.size:
+        return np.zeros(lo.size, dtype=bool)
+    reach = np.maximum.accumulate(first)
+    return (hi > lo) & (reach[np.maximum(hi - 1, 0)] >= lo)
+
+
+class WindowChain:
+    """Windows ``[lo, hi)`` in an order where both ends never decrease.
+
+    Within a history segment both ends grow with the sample time, and
+    every index of an earlier segment is below every later one, so any set
+    of equal-length windows over a fleet sorts (by ``hi``, then ``lo``)
+    into such a chain — with no per-segment resets.  Chain order turns
+    per-window key statistics into per-item work: item ``i`` lies in the
+    contiguous run of windows ``[enter[i], leave[i])``.  Results come back
+    in the caller's window order.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, n_items: int):
+        self.order = np.lexsort((lo, hi))
+        self.lo = lo[self.order]
+        self.hi = hi[self.order]
+        if np.any(self.lo[1:] < self.lo[:-1]):
+            raise ValueError("windows do not form a chain")
+        items = np.arange(n_items)
+        self.enter = np.searchsorted(self.hi, items, side="right")
+        self.leave = np.searchsorted(self.lo, items, side="right")
+
+    def _unsort(self, values: np.ndarray) -> np.ndarray:
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
+
+    def distinct(self, prev: np.ndarray) -> np.ndarray:
+        """Distinct keys per window, from :func:`previous_same`'s ``prev``.
+
+        Item ``i`` is the first of its key in exactly the windows with
+        ``prev[i] < lo <= i < hi``: a contiguous run, so one difference
+        array counts them all.
+        """
+        start = np.maximum(
+            np.searchsorted(self.lo, prev, side="right"), self.enter
+        )
+        keep = start < self.leave
+        size = self.lo.size + 1
+        steps = np.bincount(start[keep], minlength=size) - np.bincount(
+            self.leave[keep], minlength=size
+        )
+        return self._unsort(np.cumsum(steps[:-1]))
+
+    def max_count(self, prev: np.ndarray) -> np.ndarray:
+        """Largest number of same-key items per window.
+
+        A window holds ``m`` items of one key iff some member's
+        ``(m - 1)``-th previous same-key item is still inside it
+        (:func:`witnessed`); ``m`` climbs until no window does.  An item is
+        dropped once its ``m``-th predecessor falls before the earliest
+        window holding it.
+        """
+        lo, hi = self.lo, self.hi
+        best = np.zeros(lo.size, dtype=np.int64)
+        pos = np.flatnonzero(self.enter < self.leave)
+        floor = lo[self.enter[pos]]
+        back = pos
+        active = np.flatnonzero(hi > lo)
+        m = 0
+        while active.size:
+            m += 1
+            best[active] = m
+            back = prev[back]
+            keep = back >= floor
+            pos, back, floor = pos[keep], back[keep], floor[keep]
+            if not pos.size:
+                break
+            reach = np.maximum.accumulate(back)
+            last = np.searchsorted(pos, hi[active] - 1, side="right") - 1
+            hit = last >= 0
+            hit[hit] = reach[last[hit]] >= lo[active[hit]]
+            active = active[hit]
+        return self._unsort(best)
 
 
 class AppendableDimmHistory:

@@ -681,7 +681,7 @@ class FleetReplayEngine:
         parts: dict[str, list] = {
             "t": [], "tag": [], "plat": [], "idx": [], "code": [], "rank": [],
         }
-        cand_dimms_by, row_of_by, fallback_by, ue_pred_by = [], [], [], []
+        cand_dimms_by, row_of_by, ue_pred_by = [], [], []
         for i, rt in enumerate(runtimes):
             kernel = rt.kernel
             cand = np.flatnonzero(kernel.eligible)
@@ -708,7 +708,6 @@ class FleetReplayEngine:
                 for s in kernel.seg_of_ce[cand].tolist()
             ])
             row_of_by.append(kernel.row_of.tolist())
-            fallback_by.append(kernel.fallback.tolist())
             ue_pred_by.append(kernel.ue_predictable.tolist())
         sel = {k: np.concatenate(v) for k, v in parts.items()}
         order = np.lexsort((sel["plat"], sel["tag"], sel["t"]))[skip:]
@@ -760,8 +759,6 @@ class FleetReplayEngine:
                 if alarms.blocked(dimm_id, t):
                     blocked_until[code] = alarms.open_until(dimm_id)
                     continue
-                if fallback_by[p][index]:
-                    runtimes[p].retired_fallbacks += 1
                 if rescore > 0:
                     last_scored_by[p][code] = t
                 scored_dimms_by[p].add(code)

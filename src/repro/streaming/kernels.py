@@ -34,28 +34,26 @@ strictly before it, and the fitted (static) environment index.
   substitution makes the batch computation equal
   ``FeaturePipeline.transform_one`` on the arrival prefix, bit for bit —
   including the int64 cell-key wrap in the spatial extractor.
-* **Window starts** — resolved for every sub-window at once by one
-  fleet-wide :func:`~repro.telemetry.columnar.segmented_searchsorted`
-  (exact integer keys and one ``np.searchsorted``: identical float
-  comparisons to per-DIMM ``np.searchsorted``).
-* **History-invariant tables** — the gap array, the multi-device prefix
-  counts and the spatial key ranks
-  (:class:`~repro.features.windows.SpatialRanks`) depend only on the
-  stream-ordered fleet, so they are built once and every flush's
-  :class:`PrefixWindows` serves the cached copies; a flush then sorts
-  only its own (sample, CE) pairs.
+* **Window starts** — resolved per window length by one fleet-wide
+  :func:`~repro.telemetry.columnar.segmented_searchsorted` (exact integer
+  keys and one ``np.searchsorted``: identical float comparisons to
+  per-DIMM ``np.searchsorted``).
+* **One pass over every candidate** — within a segment both ends of the
+  windows grow with the query's position, so the extractors'
+  ``compute_batch`` answer every window from per-CE quantities of the
+  stream-ordered fleet plus O(1) gathers, never expanding a window into
+  its members.  :class:`ReplayKernel` therefore runs them once per
+  candidate on the first flush (over segment-aligned chunks of
+  :class:`PrefixWindows`, which bounds their memory); a flush is then a
+  row gather.
 * **Arrival-exact storm/repair bounds** — a storm or repair logged at
   exactly ``t`` sorts *after* the CE (tie order), so the per-event state
-  has not seen it when the CE is served; the kernel therefore bounds
-  event-count queries at ``t`` instead of the offline ``t + EPS`` and
-  hands the counts to each :class:`PrefixWindows`.
-* **Fallback** — queries the columnar form cannot express (none arise on
-  a well-formed stream) are recomputed through the exact per-event
-  reference (:meth:`ReplayKernel.reference_for_query` —
-  ``transform_one`` on the reconstructed arrival prefix) and counted as
-  fallbacks.  The same reference backs ``verify_parity`` on the batched
-  engine, and ``engine="per_event"`` remains the always-available full
-  reference implementation.
+  has not seen it when the CE is served; :class:`PrefixWindows` therefore
+  bounds event-count queries at ``t`` instead of the offline ``t + EPS``.
+* **Reference** — :meth:`ReplayKernel.reference_for_query` is
+  ``transform_one`` on the reconstructed arrival prefix; it backs
+  ``verify_parity`` on the batched engine, and ``engine="per_event"``
+  remains the always-available full reference implementation.
 
 Everything else (environment features ride the *fitted* server index;
 static features are time-invariant per config) is prefix-independent by
@@ -66,12 +64,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.features.windows import (
-    SUB_WINDOWS_HOURS,
-    DimmHistory,
-    FleetWindows,
-    SpatialRanks,
-)
+from repro.features.windows import DimmHistory, FleetWindows
 from repro.telemetry.columnar import (
     CE_DIMM,
     CE_SERVER,
@@ -87,26 +80,20 @@ from repro.telemetry.columnar import (
     segmented_searchsorted,
 )
 
-#: Flattened (sample, CE) pair budget per feature chunk — bounds transient
-#: memory while keeping enough rows per numpy call to amortise dispatch.
-DEFAULT_CHUNK_PAIRS = 2_000_000
+#: Queries per extractor pass while a kernel fills its feature cache: the
+#: passes' intermediates grow with the chunk, not with the campaign.
+CACHE_CHUNK_QUERIES = 16_384
 
 
 class PrefixWindows(FleetWindows):
-    """:class:`FleetWindows` over one replay flush, served from the
-    kernel's fleet-wide tables.
+    """:class:`FleetWindows` ending at each query's arrival prefix.
 
     The offline fleet pass derives ``hi`` from ``searchsorted(t + EPS)``;
     replay needs the *arrival prefix* instead — the query CE's stream
     position + 1 within its segment — so same-timestamp CEs that arrive
     later are excluded exactly as the per-event state excludes them.
-    :class:`ReplayKernel` resolves everything else once for all queries
-    and hands each flush its slice: window starts (``lo_tables``),
-    arrival-exact storm/repair counts (events at exactly ``t`` sort after
-    the CE, so they are bounded at ``t``, not ``t + EPS``), hours since
-    first CE, and the history-invariant gap array, multi-device prefix
-    counts and spatial ranks.  Only the pair expansion and the
-    extractors' aggregations run per flush.
+    Storms and repairs at exactly ``t`` sort after the CE, so event counts
+    are bounded at ``t``, not ``t + EPS``.
     """
 
     def __init__(
@@ -115,48 +102,14 @@ class PrefixWindows(FleetWindows):
         ts: np.ndarray,
         sample_seg: np.ndarray,
         hi: np.ndarray,
-        *,
-        lo_tables: dict[float, np.ndarray],
-        storm_counts: tuple[np.ndarray, np.ndarray],
-        repair_counts: np.ndarray,
-        since_first: np.ndarray,
-        gaps: np.ndarray,
-        multi_prefix: np.ndarray,
-        spatial_ranks: SpatialRanks,
     ):
         self.history = fleet
         self.ts = np.asarray(ts, dtype=float)
         self.sample_seg = np.asarray(sample_seg, dtype=np.int64)
+        self.ends = self.ts
         self._base = fleet.ce_offsets[self.sample_seg]
         self.hi = np.asarray(hi, dtype=np.int64)
-        self._lo = dict(lo_tables)
-        self._pairs: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        self._storm_counts = storm_counts
-        self._repair_counts = repair_counts
-        self._since_first = since_first
-        self._gaps = gaps
-        self._multi_prefix = multi_prefix
-        self._spatial_ranks = spatial_ranks
-
-    def gap_array(self) -> np.ndarray:
-        return self._gaps
-
-    def multi_device_prefix(self) -> np.ndarray:
-        return self._multi_prefix
-
-    def spatial_ranks(self) -> SpatialRanks:
-        return self._spatial_ranks
-
-    def storm_counts(
-        self, observation_hours: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._storm_counts
-
-    def repair_counts(self, observation_hours: float) -> np.ndarray:
-        return self._repair_counts
-
-    def since_first(self, observation_hours: float) -> np.ndarray:
-        return self._since_first
+        self._lo: dict[float, np.ndarray] = {}
 
 
 class ReplayKernel:
@@ -166,16 +119,13 @@ class ReplayKernel:
     tables, everything the batched replay loop needs in O(sort) vectorized
     passes:
 
-    * ``eligible`` / ``row_of`` / ``fallback`` — per CE-table row: is it a
-      scoring candidate (``>= min_ces`` CEs in its epoch, past
-      ``live_from_hour``, config known), its query row for
-      :meth:`features_for`, and whether the exact reference path produced
-      it;
+    * ``eligible`` / ``row_of`` — per CE-table row: is it a scoring
+      candidate (``>= min_ces`` CEs in its epoch, past ``live_from_hour``,
+      config known), and its query row for :meth:`features_for`;
     * :meth:`features_for` — the feature matrix of any set of candidate
       rows, bit-for-bit what ``IncrementalFeatureExtractor.serve`` would
-      return at each candidate CE — computed lazily so only *served*
-      candidates (a small fraction, after the rescore throttle and
-      incident blocking) pay for extraction;
+      return at each candidate CE — computed for every candidate in one
+      pass on the first call, so a replay that never scores pays nothing;
     * ``ue_predictable`` — per UE-table row, the per-event engine's
       ``state is not None and len(state.times) >= min_ces`` flag, derived
       from per-epoch CE/event counts.
@@ -192,12 +142,10 @@ class ReplayKernel:
         *,
         min_ces_before_scoring: int = 2,
         live_from_hour: float = 0.0,
-        max_chunk_pairs: int = DEFAULT_CHUNK_PAIRS,
     ):
         self.pipeline = pipeline
         self.min_ces = int(min_ces_before_scoring)
         self.live_from = float(live_from_hour)
-        self.max_chunk_pairs = int(max_chunk_pairs)
 
         ce_rows = columns.ces.rows()
         ue_rows = columns.ues.rows()
@@ -389,14 +337,6 @@ class ReplayKernel:
         self.row_of = np.full(self.n_ce, -1, dtype=np.int64)
         self.row_of[table_idx] = np.arange(n_q)
 
-        # -- fallback hook -------------------------------------------------
-        # PrefixWindows' arrival-exact bounds make every well-formed query
-        # expressible columnwise; the mask stays (all False) as the hook
-        # through which inexpressible queries would be routed to
-        # reference_for_query and surfaced in the report.
-        self._hazard = np.zeros(n_q, dtype=bool)
-        self.fallback = np.zeros(self.n_ce, dtype=bool)
-
         # -- per-UE predictability (per-event state reconstruction) --------
         if self.n_ue:
             sorted_ranks = np.arange(self.n_ue) - ue_offsets[
@@ -428,33 +368,24 @@ class ReplayKernel:
         else:
             self.ue_predictable = np.empty(0, dtype=bool)
 
-        self.fallbacks_built = int(self._hazard.sum())
         self.n_features = len(pipeline.feature_names())
-        self._static_rows: np.ndarray | None = None
+        self._table: list | None = None
 
     # -- feature computation ------------------------------------------------
 
-    def _ensure_query_tables(self) -> None:
-        """Resolve every query's window boundaries once, fleet-wide.
+    def _ensure_table(self) -> None:
+        """Compute every query's feature row once.
 
-        Per-flush feature serving then reduces to array gathers plus the
-        pair-level aggregation — no O(fleet) searches or sorts inside the
-        hot loop.
+        The extractors run over contiguous query chunks, each cut at a
+        segment end so it is a fleet shard: transient memory stays bounded
+        by :data:`CACHE_CHUNK_QUERIES`, not by the campaign.  Columns are
+        cached in the narrowest dtype that holds them exactly (most are
+        small counts and flags), a fraction of a float64 matrix.
         """
-        if self._static_rows is not None:
+        if self._table is not None:
             return
         pipeline = self.pipeline
         fleet = self.fleet
-        # Static rows per segment (configs are time-invariant); segments
-        # without a config never produce candidates, so zeros are inert.
-        static_dim = len(pipeline.static.names())
-        static_rows = np.zeros((self.n_segs, static_dim))
-        ok = [i for i, c in enumerate(self.seg_configs) if c is not None]
-        if ok:
-            static_rows[ok] = pipeline.static.compute_rows(
-                [self.seg_configs[i] for i in ok]
-            )
-        self._static_rows = static_rows
         env_codes = np.fromiter(
             (
                 pipeline.environment.server_code(s)
@@ -463,91 +394,69 @@ class ReplayKernel:
             dtype=np.int64,
             count=self.n_segs,
         )
-
-        q_ts, q_seg, q_hi = self._q_ts, self._q_seg, self._q_hi
-        n_q = q_ts.size
-        # One fused search resolves every window start the extractors ask for.
-        lengths = tuple(dict.fromkeys(
-            SUB_WINDOWS_HOURS
-            + (
-                24.0,
-                pipeline.temporal.observation_hours,
-                pipeline.spatial.observation_hours,
-                pipeline.bitlevel.observation_hours,
-                pipeline.config.labeling.observation_hours,
+        n_q = self._q_ts.size
+        own_5d = np.empty(n_q)
+        parts = []
+        start = 0
+        while start < n_q:
+            end = int(np.searchsorted(
+                self._q_seg,
+                self._q_seg[min(start + CACHE_CHUNK_QUERIES, n_q) - 1],
+                side="right",
+            ))
+            first, last = self._q_seg[start], self._q_seg[end - 1]
+            q_ts, q_seg = self._q_ts[start:end], self._q_seg[start:end]
+            windows = PrefixWindows(
+                fleet.shard(first, last + 1),
+                q_ts,
+                q_seg - first,
+                self._q_hi[start:end] - fleet.ce_offsets[first],
             )
-        ))
-        if n_q:
-            found = segmented_searchsorted(
-                fleet.times,
-                fleet.ce_offsets,
-                np.concatenate([q_ts - w for w in lengths]),
-                np.tile(q_seg, len(lengths)),
+            temporal = pipeline.temporal.compute_batch(windows)
+            own_5d[start:end] = temporal[:, 3]
+            blocks = (
+                temporal,
+                pipeline.spatial.compute_batch(windows),
+                pipeline.bitlevel.compute_batch(windows),
             )
-            base = fleet.ce_offsets[q_seg]
-            self._lo_all = {
-                w: found[j * n_q : (j + 1) * n_q] + base
-                for j, w in enumerate(lengths)
-            }
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            self._lo_all = {w: empty for w in lengths}
-
-        # Arrival-exact storm / repair counts (events at exactly t have not
-        # arrived when the CE is served — bounded at t, not t + EPS).
-        observation = pipeline.temporal.observation_hours
-
-        def event_counts(times, offsets, with_total):
-            if not times.size or not n_q:
-                zeros = np.zeros(n_q)
-                return (zeros, zeros) if with_total else zeros
-            reps = 3 if with_total else 2
-            queries = [q_ts, q_ts - observation]
-            if with_total:
-                queries.append(np.zeros(n_q))
-            bounds = segmented_searchsorted(
-                times, offsets, np.concatenate(queries), np.tile(q_seg, reps)
-            )
-            win = bounds[:n_q] - bounds[n_q : 2 * n_q]
-            if not with_total:
-                return win
-            return win, bounds[:n_q] - bounds[2 * n_q :]
-
-        self._storm_all = event_counts(
-            fleet.storm_times, fleet.storm_offsets, with_total=True
-        )
-        self._repair_all = event_counts(
-            fleet.repair_times, fleet.repair_offsets, with_total=False
-        )
-        # Every query is a CE of its own segment, so the segment is never
-        # empty and since-first is a plain subtraction.
-        self._since_first_all = (
-            q_ts - fleet.times[fleet.ce_offsets[:-1][q_seg]]
-            if n_q else np.empty(0)
-        )
+            parts.append([_narrow(c) for block in blocks for c in block.T])
+            start = end
+        # Chunks come in query order; concatenation widens a column where
+        # chunks disagree (uint8 < uint16 < float64, all exact).
+        columns = [np.concatenate(pieces) for pieces in zip(*parts)]
+        del parts
         # Environment features ride the fitted server index and the 5-day
-        # own-CE count (transform's temporal column 3) — fully precomputable.
-        own_5d = (
-            q_hi - self._lo_all[SUB_WINDOWS_HOURS[3]]
-        ).astype(float)
-        self._env_rows_all = pipeline.environment.compute_fleet(
-            env_codes[q_seg], own_5d, q_ts
+        # own-CE count (temporal column 3), as in transform_fleet.
+        environment = pipeline.environment.compute_fleet(
+            env_codes[self._q_seg], own_5d, self._q_ts
         )
-        # History-invariant arrays the extractors re-derive per batch.
-        self._gap_array = np.append(np.diff(fleet.times), np.inf)
-        self._multi_prefix = np.zeros(fleet.times.size + 1)
-        np.cumsum(fleet.n_devices >= 2, out=self._multi_prefix[1:])
-        self._spatial_ranks = SpatialRanks.of(fleet)
+        columns += [_narrow(c) for c in environment.T]
+        groups: dict = {}
+        for j, column in enumerate(columns):
+            groups.setdefault(column.dtype, []).append(j)
+        self._table = [
+            (np.asarray(cols), np.column_stack([columns[j] for j in cols]))
+            for cols in groups.values()
+        ]
+        # Static rows per segment (configs are time-invariant); segments
+        # without a config never produce candidates, so zeros are inert.
+        self._static_rows = np.zeros(
+            (self.n_segs, len(pipeline.static.names()))
+        )
+        ok = [i for i, c in enumerate(self.seg_configs) if c is not None]
+        if ok:
+            self._static_rows[ok] = pipeline.static.compute_rows(
+                [self.seg_configs[i] for i in ok]
+            )
 
     def features_for(
         self, rows: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Feature matrix for candidate ``rows`` (indices into query space).
 
-        Computed on demand so only *served* candidates pay for feature
-        extraction — the rescore throttle and incident blocking typically
-        discard most eligible CEs before scoring.  ``out`` (shape
-        ``(len(rows), n_features)``) lets callers reuse a flush buffer.
+        The first call computes every candidate's row (:meth:`_ensure_table`);
+        each call is then a row gather.  ``out`` (shape ``(len(rows),
+        n_features)``) lets callers reuse a flush buffer.
         """
         rows = np.asarray(rows, dtype=np.int64)
         n = rows.size
@@ -555,51 +464,13 @@ class ReplayKernel:
             out = np.empty((n, self.n_features))
         if not n:
             return out
-        self._ensure_query_tables()
-        pipeline = self.pipeline
-        q_ts = self._q_ts[rows]
-        q_seg = self._q_seg[rows]
-        q_hi = self._q_hi[rows]
-        storm_win, storm_total = self._storm_all
-
-        # Chunk by cumulative observation-window membership so transient
-        # pair expansions stay bounded regardless of storm-heavy DIMMs.
-        observation = pipeline.config.labeling.observation_hours
-        load = np.cumsum(q_hi - self._lo_all[observation][rows])
-        start = 0
-        while start < n:
-            target = (load[start - 1] if start else 0) + self.max_chunk_pairs
-            end = int(np.searchsorted(load, target, side="left")) + 1
-            end = min(max(end, start + 1), n)
-            sl = slice(start, end)
-            rows_sl = rows[sl]
-            windows = PrefixWindows(
-                self.fleet, q_ts[sl], q_seg[sl], q_hi[sl],
-                lo_tables={
-                    w: arr[rows_sl] for w, arr in self._lo_all.items()
-                },
-                storm_counts=(storm_win[rows_sl], storm_total[rows_sl]),
-                repair_counts=self._repair_all[rows_sl],
-                since_first=self._since_first_all[rows_sl],
-                gaps=self._gap_array,
-                multi_prefix=self._multi_prefix,
-                spatial_ranks=self._spatial_ranks,
-            )
-            out[sl] = np.hstack(
-                [
-                    pipeline.temporal.compute_batch(windows),
-                    pipeline.spatial.compute_batch(windows),
-                    pipeline.bitlevel.compute_batch(windows),
-                    self._env_rows_all[rows_sl],
-                    self._static_rows[q_seg[sl]],
-                ]
-            )
-            start = end
-
-        # Exact-path fallback for queries flagged as columnwise-inexpressible.
-        if self._hazard.any():
-            for i in np.flatnonzero(self._hazard[rows]).tolist():
-                out[i] = self.reference_for_query(int(rows[i]))
+        self._ensure_table()
+        for cols, table in self._table:
+            out[:, cols] = table[rows]
+        static = self._static_rows
+        out[:, self.n_features - static.shape[1] :] = static[
+            self._q_seg[rows]
+        ]
         return out
 
     # -- exact reference ----------------------------------------------------
@@ -640,8 +511,7 @@ class ReplayKernel:
 
         This is the same reference the per-event engine's ``verify_parity``
         checks against (``transform_one(state.history_view(), config, t)``)
-        — used both for the hazard fallback and for batched-mode parity
-        verification.
+        — used for batched-mode parity verification.
         """
         gpos = int(self._q_pos[query_row])
         seg = int(self._q_seg[query_row])
@@ -651,12 +521,12 @@ class ReplayKernel:
             float(self._q_ts[query_row]),
         )
 
-    def reference_for_ce(self, ce_index: int) -> np.ndarray:
-        """``transform_one`` on the arrival prefix of CE-table row ``ce_index``."""
-        gpos = int(self._gpos_of_ce[ce_index])
-        seg = int(self.seg_of_ce[ce_index])
-        return self.pipeline.transform_one(
-            self._prefix_history(gpos),
-            self.seg_configs[seg],
-            float(self.ce_times[ce_index]),
-        )
+
+def _narrow(column: np.ndarray) -> np.ndarray:
+    """A copy of float64 ``column`` as uint8 or uint16 where that holds
+    every value exactly, else as float64."""
+    if column.min() >= 0 and column.max() <= 65535:
+        narrow = column.astype(np.uint8 if column.max() <= 255 else np.uint16)
+        if np.array_equal(narrow, column):
+            return narrow
+    return column.copy()

@@ -15,7 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.features.pipeline import FeaturePipeline
-from repro.features.windows import DimmHistory
+from repro.features.spatial import SpatialExtractor
+from repro.features.windows import DimmHistory, FleetWindows
 from repro.obs import Observability
 from repro.telemetry.log_store import LogStore
 from repro.telemetry.records import CERecord, DimmConfigRecord
@@ -223,9 +224,14 @@ def fleet_records(draw):
     return records
 
 
-def _three_engines(records, extra_ts=(0.25, 1e6)):
+def _around_ces(times: np.ndarray) -> np.ndarray:
+    """CE instants, 0.25 h after each, and far past the campaign."""
+    return np.sort(np.concatenate([times, times + 0.25, [1e6]]))
+
+
+def _three_engines(records, sample_times=_around_ces):
     """Feature matrices of one fleet pass, per-DIMM (one-segment) fleet
-    passes and transform_one over every DIMM's CE instants (+ offsets)."""
+    passes and transform_one, at ``sample_times(ce_times)`` per DIMM."""
     store = LogStore()
     for i in range(3):
         store.add_config(_config(i))
@@ -237,7 +243,7 @@ def _three_engines(records, extra_ts=(0.25, 1e6)):
     ts_parts, seg_parts, batch_parts, one_rows = [], [], [], []
     for i, dimm_id in enumerate(fleet.dimm_ids):
         times = fleet.times[fleet.ce_offsets[i] : fleet.ce_offsets[i + 1]]
-        ts = np.sort(np.concatenate([times, times + extra_ts[0], extra_ts[1:]]))
+        ts = np.asarray(sample_times(times), dtype=float)
         ts_parts.append(ts)
         seg_parts.append(np.full(ts.size, i, dtype=np.int64))
         history = DimmHistory.from_records(
@@ -259,6 +265,15 @@ def _three_engines(records, extra_ts=(0.25, 1e6)):
         np.concatenate(seg_parts),
     )
     return pipeline, fleet_X, np.vstack(batch_parts), np.vstack(one_rows)
+
+
+def _checked(records, sample_times):
+    """Feature-name lookup and the fleet-pass rows, once the fleet pass,
+    one-DIMM passes and transform_one agree bit-for-bit."""
+    pipeline, fleet_X, batch_X, one_X = _three_engines(records, sample_times)
+    assert np.array_equal(fleet_X, batch_X)
+    assert np.array_equal(fleet_X, one_X)
+    return pipeline.feature_names().index, fleet_X
 
 
 @settings(
@@ -284,10 +299,129 @@ def test_cell_key_aliases_devices_16_apart(second_device, max_cell):
         _ce(0, 1.0, 2, 5, 7, (0,)),
         _ce(0, 2.0, 2, 5, 7, (second_device,)),
     ]
-    pipeline, fleet_X, batch_X, one_X = _three_engines(records, (0.0,))
+    pipeline, fleet_X, batch_X, one_X = _three_engines(
+        records, lambda times: times
+    )
     names = pipeline.feature_names()
     cell = names.index("spatial_max_ces_one_cell")
     fault = names.index("spatial_cell_fault")
     for X in (fleet_X, batch_X, one_X):  # last row: the second CE's hour
         assert X[-1, cell] == max_cell
         assert X[-1, fault] == float(max_cell >= 2)
+
+
+def _line(i, t0, coordinates, bank=1, device=0):
+    """CEs one hour apart on (row, column) ``coordinates`` of one bank."""
+    return [
+        _ce(i, t0 + k, bank, row, column, (device,))
+        for k, (row, column) in enumerate(coordinates)
+    ]
+
+
+class TestWindowEdgeCases:
+    """Hand-built windows for the pair-free spatial and bit-level kernels,
+    each checked three ways (fleet pass, one-DIMM passes, transform_one)."""
+
+    def test_line_fault_needs_two_cross_coordinates(self):
+        records = (
+            _line(0, 1.0, [(5, 3), (5, 3), (5, 3)])  # one cell: no line fault
+            + _line(1, 1.0, [(5, 3), (5, 4), (5, 3)])  # columns a, b, a
+            + _line(2, 1.0, [(5, 9), (6, 9), (5, 9)])  # rows a, b, a
+        )
+        col, X = _checked(records, lambda times: times)
+        row_fault, column_fault = col("spatial_row_fault"), col(
+            "spatial_column_fault"
+        )
+        # Rows: three samples (one per CE) for each of d0, d1, d2.
+        assert X[2, col("spatial_max_ces_one_cell")] == 3.0
+        assert X[2, col("spatial_cell_fault")] == 1.0
+        assert X[2, row_fault] == X[2, column_fault] == 0.0
+        assert X[4, row_fault] == 0.0  # two CEs only
+        assert X[5, row_fault] == 1.0 and X[5, column_fault] == 0.0
+        assert X[8, column_fault] == 1.0 and X[8, row_fault] == 0.0
+        assert not X[:, col("spatial_bank_fault")].any()
+
+    def test_bank_fault_needs_both_faults_in_one_bank(self):
+        row_fault = [(5, 3), (5, 4), (5, 3)]
+        column_fault = [(7, 9), (8, 9), (7, 9)]
+        records = (
+            # d0: a column fault, then a row fault, in bank 1.
+            _line(0, 1.0, column_fault) + _line(0, 4.0, row_fault)
+            # d1: the same two faults in banks 1 and 2.
+            + _line(1, 1.0, row_fault) + _line(1, 4.0, column_fault, bank=2)
+            # d2: bank 1 of devices 0 and 1.
+            + _line(2, 1.0, row_fault)
+            + _line(2, 4.0, column_fault, device=1)
+        )
+        col, X = _checked(records, lambda times: times)
+        bank = col("spatial_bank_fault")
+        last = [5, 11, 17]  # each DIMM's sixth CE
+        for i in last:
+            assert X[i, col("spatial_row_fault")] == 1.0
+            assert X[i, col("spatial_column_fault")] == 1.0
+        assert X[last, bank].tolist() == [1.0, 0.0, 0.0]
+        assert X[4, bank] == 0.0  # d0's row fault is one CE short
+
+    def test_window_of_one_cell(self):
+        records = [
+            _ce(0, float(t), 2, 5, 7, (0,), dq_count=2, beat_count=t)
+            for t in range(1, 6)
+        ]
+        # The last CE's hour, then hours at which 1 and 4 CEs have left.
+        col, X = _checked(records, lambda times: [5.0, 121.5, 124.5])
+        sizes = X[:, col("temporal_ce_count_5d")].tolist()
+        assert sizes == [5.0, 4.0, 1.0]
+        for name in (
+            "spatial_max_ces_one_cell",
+            "spatial_max_ces_one_row",
+            "spatial_max_ces_one_column",
+        ):
+            assert X[:, col(name)].tolist() == sizes
+        assert X[:, col("spatial_distinct_rows")].tolist() == [1.0] * 3
+        assert X[:, col("bit_max_beat_count")].tolist() == [5.0] * 3
+        assert X[:, col("bit_mode_beat_count")].tolist() == [5.0] * 3
+        assert X[:, col("bit_mode_dq_count")].tolist() == [2.0] * 3
+
+    def test_samples_before_first_ce_and_after_window_drains(self):
+        records = _line(0, 10.0, [(5, 3), (5, 4), (5, 3)])
+        ts = [0.0, 9.9, 12.0, 130.0, 130.5, 132.0, 132.5, 1e6]
+        col, X = _checked(records, lambda times: ts)
+        names = [
+            "spatial_distinct_rows", "spatial_max_ces_one_cell",
+            "spatial_row_fault", "bit_max_dq_count", "bit_mode_dq_count",
+            "bit_mean_error_bits",
+        ]
+        window = X[:, [col(name) for name in names]]
+        empty = [0, 1, 6, 7]  # before the first CE / after the last left
+        assert not window[empty].any()
+        assert X[:, col("temporal_ce_count_5d")].tolist() == [
+            0.0, 0.0, 3.0, 3.0, 2.0, 1.0, 0.0, 0.0
+        ]
+        assert X[:, col("spatial_row_fault")].tolist() == [
+            0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0
+        ]
+
+    def test_unsorted_sample_times_within_a_segment(self):
+        records = (
+            _line(0, 1.0, [(5, 3), (5, 4), (5, 3), (6, 3), (7, 3)])
+            + _line(0, 100.0, [(5, 3), (9, 9)])
+            + _line(1, 50.0, [(1, 1), (1, 1), (2, 1)])
+        )
+        rng = np.random.default_rng(0)
+
+        def shuffled(times):
+            ts = np.concatenate([times, times + 60.0, times + 119.5, [0.5]])
+            return rng.permutation(ts)
+
+        col, X = _checked(records, shuffled)
+        assert X[:, col("spatial_row_fault")].any()
+        assert X[:, col("spatial_column_fault")].any()
+
+    def test_min_distinct_above_two_is_rejected(self):
+        store = LogStore()
+        store.extend(_line(0, 1.0, [(5, 3)]))
+        windows = FleetWindows(
+            store.fleet_arrays(), np.array([1.0]), np.array([0])
+        )
+        with pytest.raises(ValueError, match="min_distinct <= 2"):
+            SpatialExtractor(min_distinct=3).compute_batch(windows)

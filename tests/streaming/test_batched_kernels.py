@@ -32,7 +32,9 @@ from repro.telemetry.records import (
 
 #: Timestamps live on a coarse grid so exact same-hour ties are common.
 GRID_HOURS = 0.25
-MAX_TICK = 240  # 60 hours of campaign
+#: 200 hours of campaign: longer than the 120 h observation window, so CEs
+#: age out of the windows they were first served in.
+MAX_TICK = 800
 
 #: Primary devices: d and d + 16 share an int64 cell key (``device * 2^60``
 #: wraps), so two CEs on the same bank/row/column of devices 0 and 16 land
@@ -77,25 +79,38 @@ def stream_case(draw):
     records = []
     for i in range(n_dimms):
         dimm, server = f"d{i}", f"s{i % 2}"
-        ticks = sorted(
-            draw(
-                st.lists(
-                    st.integers(0, MAX_TICK), min_size=0, max_size=12
-                )
-            )
+        # CEs come in bursts a few ticks wide (exact same-hour ties stay
+        # common) spread over the campaign.
+        bursts = draw(
+            st.lists(st.integers(0, MAX_TICK), min_size=1, max_size=4)
         )
-        cells = []
+        ticks = sorted(
+            min(draw(st.sampled_from(bursts)) + draw(st.integers(0, 3)),
+                MAX_TICK)
+            for _ in range(draw(st.integers(0, 14)))
+        )
+        lines = []
         for tick in ticks:
-            # Often revisit an earlier CE's cell, on any device, so cell
-            # repeats and device-aliased cells are common.
-            if cells and draw(st.booleans()):
-                bank, row, column = draw(st.sampled_from(cells))
+            # Often revisit an earlier CE: its cell, or its row / column
+            # with a new cross coordinate, so lines gather >= 3 CEs across
+            # >= 2 cross coordinates and cell, row, column and bank faults
+            # fire.  A revisit sometimes moves to another (possibly
+            # cell-aliasing) device.
+            move = draw(st.sampled_from(("new", "cell", "row", "column")))
+            if lines and move != "new":
+                device, bank, row, column = draw(st.sampled_from(lines))
+                if move == "row":
+                    column = draw(st.integers(0, 7))
+                elif move == "column":
+                    row = draw(st.integers(0, 7))
+                if draw(st.integers(0, 3)) == 0:
+                    device = draw(st.sampled_from(ALIASING_DEVICES))
             else:
+                device = draw(st.sampled_from(ALIASING_DEVICES))
                 bank = draw(st.integers(0, 3))
                 row = draw(st.integers(0, 7))
                 column = draw(st.integers(0, 7))
-                cells.append((bank, row, column))
-            device = draw(st.sampled_from(ALIASING_DEVICES))
+            lines.append((device, bank, row, column))
             records.append(
                 CERecord(
                     timestamp_hours=tick * GRID_HOURS,
